@@ -11,16 +11,17 @@ from dataclasses import dataclass
 
 from .errors import ContextMismatch, KindMismatch, PadicAffineError
 from .padic import (
-    EQUAL,
-    FIRST_INSIDE_SECOND,
+    DISJOINT,
     SECOND_INSIDE_FIRST,
     Ball,
+    BallIndex,
     ClopenSet,
     Padic,
     PadicContext,
+    carve,
     fraction_valuation,
 )
-from .stepfn import PADIC, StepFunction
+from .stepfn import PADIC, StepFunction, common_refinement
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class AffineElement:
     def pieces(self, radius_exp=None) -> list:
         """Shared padded partition of B(0; R) as (ball, a_k, b_k) triples."""
         r = self.enclosing_exp() if radius_exp is None else radius_exp
-        return _refine(self.a, self.b, r)
+        return common_refinement(self.a, self.b, r)
 
     # -- group structure ----------------------------------------------------
 
@@ -135,20 +136,29 @@ class AffineElement:
         if f.ctx.p != self.ctx.p:
             raise ContextMismatch("function from a different context")
         r = self.enclosing_exp()
-        hull = ClopenSet.of(self.ctx, [Ball(self.ctx, r, ())])
+        index = BallIndex(f.parts)
         parts = []
-        for cell, a_k, b_k in _refine(self.a, self.b, r):
-            for c_j, v_j in f.parts:
-                # {x in cell : (x + b_k)/a_k in C_j} = cell ∩ (a_k C_j - b_k)
-                pre = c_j.image(1 / a_k, -b_k / a_k)
-                rel = cell.relation(pre)
-                if rel in (EQUAL, SECOND_INSIDE_FIRST):
-                    parts.append((pre, v_j))
-                elif rel == FIRST_INSIDE_SECOND:
-                    parts.append((cell, v_j))
+        for cell, a_k, b_k in common_refinement(self.a, self.b, r):
+            # x -> (x + b_k)/a_k maps cell onto img and keeps every ball
+            # relation, so {x in cell : (x + b_k)/a_k in C_j} is all of cell
+            # when C_j contains img, else a_k C_j - b_k for C_j inside img
+            img = cell.image(a_k, b_k)
+            hit = index.covering(img)
+            if hit is not None:
+                parts.append((cell, hit[1]))
+                continue
+            inv_a, shift = 1 / a_k, -b_k / a_k
+            parts.extend(
+                (c_j.image(inv_a, shift), v_j) for c_j, v_j in index.inside(img)
+            )
+        # g fixes every point outside the hull, where f keeps its parts
+        hull = Ball(self.ctx, r, ())
         for c_j, v_j in f.parts:
-            outside = ClopenSet.of(self.ctx, [c_j]).subtract(hull)
-            parts.extend((b, v_j) for b in outside.balls)
+            rel = c_j.relation(hull)
+            if rel == DISJOINT:
+                parts.append((c_j, v_j))
+            elif rel == SECOND_INSIDE_FIRST:
+                parts.extend((b, v_j) for b in carve(c_j, [hull]))
         return StepFunction._build(self.ctx, f.kind, parts, f.tail)
 
     def preimage_clopen(self, s: ClopenSet) -> ClopenSet:
@@ -165,27 +175,12 @@ class AffineElement:
 
     def is_measure_preserving(self) -> bool:
         """True iff every piece maps its own ball onto itself."""
-        for ball, a_k, b_k in _refine(self.a, self.b, self.enclosing_exp()):
+        for ball, a_k, b_k in self.pieces():
             if fraction_valuation(a_k, self.ctx.p) != 0:
                 return False
             if b_k != 0 and fraction_valuation(b_k, self.ctx.p) < -ball.radius_exp:
                 return False
         return True
-
-
-def _refine(a: StepFunction, b: StepFunction, radius_exp: int) -> list:
-    cells = []
-    left = a.padded_partition(radius_exp)
-    right = b.padded_partition(radius_exp)
-    for b1, v1 in left:
-        for b2, v2 in right:
-            rel = b1.relation(b2)
-            if rel in (EQUAL, FIRST_INSIDE_SECOND):
-                cells.append((b1, v1, v2))
-            elif rel == SECOND_INSIDE_FIRST:
-                cells.append((b2, v1, v2))
-    cells.sort(key=lambda c: c[0].sort_key())
-    return cells
 
 
 def identity(ctx: PadicContext) -> AffineElement:

@@ -191,20 +191,19 @@ def _retolerance(reports, cfg):
 def cmd_pushforward(args, cfg):
     g = parse_affine(_read_input(args.g), cfg.ctx)
     mu = pushforward(IntensityMeasure.haar(cfg.ctx), g)
-    lines = [
-        f"density = {format_step(mu.density)}",
-        f"l1-deviation = {format_rational(mu.l1_deviation())}",
-        f"roundtrip-defect = {format_rational(roundtrip_defect(g))}",
-    ]
+    density = format_step(mu.density)
+    deviation = format_rational(mu.l1_deviation())
+    defect = format_rational(roundtrip_defect(g))
     if cfg.as_json:
         print(json.dumps({
-            "density": format_step(mu.density),
-            "l1_deviation": format_rational(mu.l1_deviation()),
-            "roundtrip_defect": format_rational(roundtrip_defect(g)),
+            "density": density,
+            "l1_deviation": deviation,
+            "roundtrip_defect": defect,
         }, indent=2))
     else:
-        for line in lines:
-            print(line)
+        print(f"density = {density}")
+        print(f"l1-deviation = {deviation}")
+        print(f"roundtrip-defect = {defect}")
     return 0
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .affine import AffineElement
 from .errors import ParseError
-from .padic import Ball, ClopenSet, Padic, PadicContext
+from .padic import Ball, ClopenSet, Padic, PadicContext, first_overlap
 from .poisson import EQ, GE, LE, CountEvent, CylinderFunction, Exponential, Polynomial
 from .stepfn import PADIC, REAL, StepFunction
 
@@ -145,12 +145,10 @@ class Parser:
                 self._next()
                 balls.append(self.ball())
         self._expect("}")
-        for i in range(len(balls)):
-            for j in range(i + 1, len(balls)):
-                if balls[i].relation(balls[j]) != "disjoint":
-                    self._error(
-                        f"balls {_ball(balls[i])} and {_ball(balls[j])} overlap"
-                    )
+        clash = first_overlap(balls)
+        if clash is not None:
+            i, j = clash
+            self._error(f"balls {_ball(balls[i])} and {_ball(balls[j])} overlap")
         return ClopenSet.of(self.ctx, balls)
 
     def step(self, kind: str = REAL) -> StepFunction:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .affine import AffineElement
 from .errors import PadicAffineError
-from .padic import Ball, ClopenSet, PadicContext, fraction_abs_p
+from .padic import Ball, BallIndex, ClopenSet, PadicContext, carve, fraction_abs_p
 from .stepfn import REAL, StepFunction
 
 
@@ -80,29 +80,25 @@ def pushforward(mu: IntensityMeasure, g: AffineElement) -> IntensityMeasure:
     ctx = mu.ctx
     rho = mu.density
     r = max(g.enclosing_exp(), rho.enclosing_exp())
-    hull = Ball(ctx, r, ())
-    # density contributed outside the moved hull: rho is 1 there already
-    total = StepFunction._build(ctx, REAL, [(hull, Fraction(0))], Fraction(1))
+    index = BallIndex(rho.parts)
+    # outside the moved hull rho is 1 already; inside it the contributions
+    # of all pieces are summed in one pass
+    entries = [(Ball(ctx, r, ()), Fraction(-1))]
     for cell, a_k, b_k in g.pieces(r):
         c_k = cell.image(a_k, b_k)
         scale = fraction_abs_p(a_k, ctx.p)
-        # pull rho back through y -> a_k y - b_k, restricted to C_k
-        parts = []
-        covered = []
-        for d_j, r_j in rho.parts:
-            pre = d_j.image(a_k, b_k)
-            rel = c_k.relation(pre)
-            if rel in ("equal", "second-inside-first"):
-                piece = pre if rel == "second-inside-first" else c_k
-                parts.append((piece, scale * r_j))
-                covered.append(piece)
-            elif rel == "first-inside-second":
-                parts.append((c_k, scale * r_j))
-                covered.append(c_k)
-        rest = ClopenSet.of(ctx, [c_k]).subtract(ClopenSet.of(ctx, covered))
-        parts.extend((b, scale * rho.tail) for b in rest.balls)
-        contribution = StepFunction._build(ctx, REAL, parts, Fraction(0))
-        total = total + contribution
+        # pull rho back through y -> a_k y - b_k, restricted to C_k: the
+        # map x -> (x + b_k)/a_k takes cell onto C_k and each part of rho
+        # onto its image, keeping every ball relation
+        hit = index.covering(cell)
+        if hit is not None:
+            entries.append((c_k, scale * hit[1]))
+            continue
+        inner = [(d_j.image(a_k, b_k), r_j) for d_j, r_j in index.inside(cell)]
+        entries.extend((d, scale * r_j) for d, r_j in inner)
+        rest = carve(c_k, [d for d, _ in inner])
+        entries.extend((b, scale * rho.tail) for b in rest)
+    total = StepFunction.overlay(ctx, REAL, entries, Fraction(1))
     assert all(v >= 0 for _, v in total.parts)
     return IntensityMeasure(total)
 

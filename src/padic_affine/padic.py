@@ -7,6 +7,7 @@ quantity computed here is an exact integer or Fraction, never a float.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import ContextMismatch, PadicAffineError
@@ -245,8 +246,13 @@ class Ball:
         return (x - self.center).valuation() >= -self.radius_exp
 
     def truncate_key(self, radius_exp: int) -> tuple:
-        # key of the ball of the given larger radius containing this one
-        return tuple((i, d) for i, d in self.key if i < -radius_exp)
+        # key of the ball of the given larger radius containing this one: a
+        # prefix, as the key is sorted by position
+        key = self.key
+        n = len(key)
+        while n and key[n - 1][0] >= -radius_exp:
+            n -= 1
+        return key[:n]
 
     def relation(self, other: "Ball") -> str:
         if self.ctx.p != other.ctx.p:
@@ -329,23 +335,124 @@ def split_ball(b: Ball) -> list:
     return b.children()
 
 
-def _ball_subtract(a: Ball, b: Ball) -> list:
-    """a minus b as a list of disjoint balls."""
-    rel = a.relation(b)
-    if rel == DISJOINT:
-        return [a]
-    if rel in (EQUAL, FIRST_INSIDE_SECOND):
-        return []
+def _slots(ball: Ball, radii: list):
+    """(R, key) of the ball of radius R around `ball`, for each R >= its
+    radius in the ascending list `radii`: a walk up the Bruhat-Tits tree."""
+    key = ball.key
+    n = len(key)
+    for r in radii[bisect_left(radii, ball.radius_exp):]:
+        while n and key[n - 1][0] >= -r:
+            n -= 1
+        yield r, key[:n]
+
+
+class BallIndex:
+    """Digit-key index over (ball, payload) entries with distinct balls.
+
+    A ball's key lists the nonzero digits of its center below -radius_exp,
+    sorted by position, so the ball of radius R >= radius_exp around it has
+    the key prefix of digits below -R. Both lookups are therefore dict hits
+    on (radius_exp, key prefix), costing the key depth rather than a
+    comparison with every entry.
+    """
+
+    __slots__ = ("_at", "_radii", "_below", "_tops")
+
+    def __init__(self, entries):
+        self._at = at = {}
+        radii = set()
+        for entry in entries:
+            ball = entry[0]
+            at[(ball.radius_exp, ball.key)] = entry
+            radii.add(ball.radius_exp)
+        self._radii = sorted(radii)
+        self._below = None  # built on the first inside() query
+
+    def covering(self, ball: Ball):
+        """The smallest entry whose ball equals or contains `ball`, or None."""
+        at = self._at
+        for slot in _slots(ball, self._radii):
+            entry = at.get(slot)
+            if entry is not None:
+                return entry
+        return None
+
+    def around(self, ball: Ball) -> list:
+        """Every entry whose ball equals or contains `ball`, smallest first;
+        more than one only when the indexed balls nest."""
+        at = self._at
+        return [at[slot] for slot in _slots(ball, self._radii) if slot in at]
+
+    def inside(self, ball: Ball) -> tuple:
+        """The entries whose balls lie strictly inside `ball`."""
+        if not self._at:
+            return ()
+        if self._below is None:
+            self._index_below()
+        r = ball.radius_exp
+        found = self._below.get((r, ball.key), ())
+        if ball.key:
+            return found
+        # above its enclosing_zero_exp every ancestor of an entry is B(0; R)
+        tops, entries = self._tops
+        return found + entries[: bisect_left(tops, r)]
+
+    def _index_below(self):
+        below = {}
+        tops = []
+        for entry in self._at.values():
+            ball = entry[0]
+            top = ball.enclosing_zero_exp()
+            for slot in _slots(ball, range(ball.radius_exp + 1, top + 1)):
+                below.setdefault(slot, []).append(entry)
+            tops.append((top, entry))
+        tops.sort(key=lambda te: te[0])
+        self._below = {slot: tuple(found) for slot, found in below.items()}
+        self._tops = ([t for t, _ in tops], tuple(e for _, e in tops))
+
+
+def first_overlap(balls: list):
+    """(i, j) with i < j for the first overlapping pair of the list, in
+    lexicographic order, or None when the balls are pairwise disjoint."""
+    at = {}
+    for i, b in enumerate(balls):
+        at.setdefault((b.radius_exp, b.key), []).append(i)
+    radii = sorted({r for r, _ in at})
+    pairs = (
+        (min(i, j), max(i, j))
+        for j, b in enumerate(balls)
+        for slot in _slots(b, radii)
+        for i in at.get(slot, ())
+        if i != j
+    )
+    return min(pairs, default=None)
+
+
+def split_cells(ball: Ball, cuts: list) -> list:
+    """Partition of `ball` into sub-balls, none of which has a cut strictly
+    inside it; `cuts` holds balls strictly inside `ball` (nesting allowed).
+    Cells come depth first, children in digit order."""
+    if not cuts:
+        return [ball]
+    k = ball.radius_exp
+    pos = -k
+    groups = {}
+    for c in cuts:
+        # the digit at position -k picks the child holding c
+        digit = next((d for i, d in c.key if i == pos), 0)
+        if c.radius_exp < k - 1:
+            groups.setdefault(digit, []).append(c)
     out = []
-    for child in a.children():
-        crel = child.relation(b)
-        if crel == DISJOINT:
-            out.append(child)
-        elif crel == SECOND_INSIDE_FIRST:
-            out.extend(_ball_subtract(child, b))
-        elif crel == EQUAL or crel == FIRST_INSIDE_SECOND:
-            pass
+    for digit, child in enumerate(ball.children()):
+        out.extend(split_cells(child, groups.get(digit, [])))
     return out
+
+
+def carve(ball: Ball, holes: list) -> list:
+    """`ball` minus the disjoint balls `holes` strictly inside it, as
+    disjoint balls with no complete sibling family."""
+    drop = set(holes)
+    return [c for c in split_cells(ball, holes) if c not in drop]
 
 
 class ClopenSet:
@@ -408,21 +515,22 @@ class ClopenSet:
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         self._check(other)
+        index = BallIndex((b, None) for b in other.balls)
         out = []
         for a in self.balls:
-            for b in other.balls:
-                rel = a.relation(b)
-                if rel in (EQUAL, FIRST_INSIDE_SECOND):
-                    out.append(a)
-                elif rel == SECOND_INSIDE_FIRST:
-                    out.append(b)
+            if index.covering(a) is not None:
+                out.append(a)
+            else:
+                out.extend(b for b, _ in index.inside(a))
         return ClopenSet.of(self.ctx, out)
 
     def subtract(self, other: "ClopenSet") -> "ClopenSet":
         self._check(other)
-        pieces = list(self.balls)
-        for b in other.balls:
-            pieces = [r for a in pieces for r in _ball_subtract(a, b)]
+        index = BallIndex((b, None) for b in other.balls)
+        pieces = []
+        for a in self.balls:
+            if index.covering(a) is None:
+                pieces.extend(carve(a, [b for b, _ in index.inside(a)]))
         return ClopenSet.of(self.ctx, pieces)
 
     def translate(self, h: Fraction) -> "ClopenSet":
@@ -438,18 +546,8 @@ def _canonical_balls(ctx: PadicContext, balls: list) -> tuple:
         return tuple(balls)
     # dedupe and drop balls nested inside others
     unique = list({b: None for b in balls})
-    keep = []
-    for i, b in enumerate(unique):
-        nested = False
-        for j, other in enumerate(unique):
-            if i == j:
-                continue
-            rel = b.relation(other)
-            if rel == FIRST_INSIDE_SECOND:
-                nested = True
-                break
-        if not nested:
-            keep.append(b)
+    index = BallIndex((b, None) for b in unique)
+    keep = [b for b in unique if index.covering(b.parent()) is None]
     # merge complete sibling families into parents, repeatedly
     p = ctx.p
     changed = True

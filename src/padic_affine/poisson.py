@@ -21,15 +21,8 @@ from .errors import (
     UnsupportedShape,
     WindowMismatch,
 )
-from .measure import IntensityMeasure, pushforward
-from .padic import (
-    DISJOINT,
-    EQUAL,
-    FIRST_INSIDE_SECOND,
-    Ball,
-    ClopenSet,
-    Padic,
-)
+from .measure import IntensityMeasure
+from .padic import Ball, BallIndex, ClopenSet, Padic, split_cells
 from .stepfn import REAL, StepFunction
 
 
@@ -202,42 +195,28 @@ def required_depth(objects, ball: Ball) -> int:
 # -- refinement atoms -------------------------------------------------------
 
 
-def _split_cells(ball: Ball, cuts: list) -> list:
-    inner = []
-    for c in cuts:
-        rel = ball.relation(c)
-        if rel == "second-inside-first" and c.radius_exp < ball.radius_exp:
-            inner.append(c)
-    if not inner:
-        return [ball]
-    out = []
-    for child in ball.children():
-        sub = [c for c in inner if child.relation(c) != DISJOINT]
-        out.extend(_split_cells(child, sub))
-    return out
-
-
 def refine_window(window: ClopenSet, fns: list) -> list:
     """Partition the window into balls on which every listed function is
     constant; returns (cell, tuple of per-function values)."""
-    cuts = []
+    lookups = []
     for fn in fns:
         if isinstance(fn, StepFunction):
-            cuts.extend(b for b, _ in fn.parts)
+            lookups.append((BallIndex(fn.parts), fn.tail))
         elif isinstance(fn, ClopenSet):
-            cuts.extend(fn.balls)
+            lookups.append((BallIndex((b, True) for b in fn.balls), False))
         else:
             raise PadicAffineError(f"cannot refine against {type(fn).__name__}")
     cells = []
     for w in window.balls:
-        for cell in _split_cells(w, cuts):
-            values = tuple(
-                fn.evaluate(cell.center)
-                if isinstance(fn, StepFunction)
-                else fn.contains(cell.center)
-                for fn in fns
-            )
-            cells.append((cell, values))
+        cuts = [b for index, _ in lookups for b, _ in index.inside(w)]
+        for cell in split_cells(w, cuts):
+            # no cut lies strictly inside a cell, so each function's value
+            # there is that of the part equal to or containing it
+            values = []
+            for index, default in lookups:
+                hit = index.covering(cell)
+                values.append(default if hit is None else hit[1])
+            cells.append((cell, tuple(values)))
     return cells
 
 
@@ -311,6 +290,8 @@ def transform_Vg(g: AffineElement, f: CylinderFunction) -> CylinderFunction:
 
 
 def _hull(ctx, *sets) -> ClopenSet:
+    """The smallest B(0; R), R >= 0, holding every nonempty set given;
+    empty when all are."""
     r = 0
     empty = True
     for s in sets:

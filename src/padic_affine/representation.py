@@ -16,7 +16,7 @@ from fractions import Fraction
 from .affine import AffineElement, multiply
 from .errors import ContractViolation, UnsupportedShape, WindowMismatch
 from .measure import IntensityMeasure, pushforward, roundtrip_defect
-from .padic import Ball, ClopenSet, PadicContext
+from .padic import Ball, ClopenSet
 from .poisson import (
     Configuration,
     CountEvent,
@@ -24,6 +24,7 @@ from .poisson import (
     Exponential,
     _counts_evaluator,
     _descriptor_fns,
+    _hull,
     laplace_exponent,
     mc_atoms,
     mc_run,
@@ -144,11 +145,7 @@ def check_rn_identity(g: AffineElement, f: StepFunction) -> CheckReport:
     """Closed-form comparison of E_m[R(g,·) e^{<f,·>}] with E_{g*m}[e^{<f,·>}]."""
     mu = pushforward(IntensityMeasure.haar(g.ctx), g)
     rho = mu.density
-    hull_r = 0
-    for s in (f.deviation_support(), rho.deviation_support()):
-        if not s.is_empty:
-            hull_r = max(hull_r, s.enclosing_zero_exp())
-    hull = ClopenSet.of(g.ctx, [Ball(g.ctx, hull_r, ())])
+    hull = _hull(g.ctx, f.deviation_support(), rho.deviation_support())
     cells = refine_window(hull, [f, rho])
     # E_m[R e^{<f>}] = exp(int (rho e^f - 1) dm), tail contributes 0
     lhs_exp = math.fsum(
@@ -168,7 +165,7 @@ def check_rn_identity_mc(
     mu = pushforward(IntensityMeasure.haar(g.ctx), g)
     rho = mu.density
     haar = IntensityMeasure.haar(g.ctx)
-    window = _window_hull(g.ctx, f.deviation_support(), rho.deviation_support())
+    window = _hull(g.ctx, f.deviation_support(), rho.deviation_support())
     atoms = mc_atoms(haar, window, [rho, f])
     rho_vals = [float(vals[0]) for _, _, vals in atoms]
     f_vals = [float(vals[1]) for _, _, vals in atoms]
@@ -259,7 +256,7 @@ def check_isometry_mc(
     haar = IntensityMeasure.haar(g.ctx)
     rho_inv = pushforward(haar, g.inverse()).density
     gf = g.act_function(f)
-    window = _window_hull(
+    window = _hull(
         g.ctx, gf.deviation_support(), rho_inv.deviation_support()
     )
     atoms = mc_atoms(haar, window, [rho_inv, gf])
@@ -426,27 +423,15 @@ def check_ergodic_inequality(
 # -- shared Monte Carlo helpers ---------------------------------------------
 
 
-def _window_hull(ctx: PadicContext, *sets) -> ClopenSet:
-    r = 0
-    empty = True
-    for s in sets:
-        if s is not None and not s.is_empty:
-            r = max(r, s.enclosing_zero_exp())
-            empty = False
-    if empty:
-        return ClopenSet.empty(ctx)
-    return ClopenSet.of(ctx, [Ball(ctx, r, ())])
-
-
 def _mc_expectation(f: CylinderFunction, mu, samples, seed):
-    window = _window_hull(mu.ctx, f.window(), mu.density.deviation_support())
+    window = _hull(mu.ctx, f.window(), mu.density.deviation_support())
     atoms = mc_atoms(mu, window, _descriptor_fns(f))
     ev = _counts_evaluator(f, atoms)
     return mc_run(atoms, ev, samples, seed)
 
 
 def _mc_product(f1: CylinderFunction, f2: CylinderFunction, mu, samples, seed):
-    window = _window_hull(
+    window = _hull(
         mu.ctx, f1.window(), f2.window(), mu.density.deviation_support()
     )
     fns1 = _descriptor_fns(f1)

@@ -19,14 +19,14 @@ from .errors import (
     UnboundedIntegral,
 )
 from .padic import (
-    DISJOINT,
-    EQUAL,
-    FIRST_INSIDE_SECOND,
-    SECOND_INSIDE_FIRST,
     Ball,
+    BallIndex,
     ClopenSet,
     Padic,
     PadicContext,
+    carve,
+    first_overlap,
+    split_cells,
 )
 
 PADIC = "padic"
@@ -87,18 +87,36 @@ class StepFunction:
         for b, _ in norm:
             if b.ctx.p != ctx.p:
                 raise ContextMismatch("part ball from a different context")
-        for i in range(len(norm)):
-            for j in range(i + 1, len(norm)):
-                if norm[i][0].relation(norm[j][0]) != DISJOINT:
-                    raise OverlappingParts(
-                        f"balls {norm[i][0]!r} and {norm[j][0]!r} overlap"
-                    )
+        clash = first_overlap([b for b, _ in norm])
+        if clash is not None:
+            i, j = clash
+            raise OverlappingParts(
+                f"balls {norm[i][0]!r} and {norm[j][0]!r} overlap"
+            )
         return cls._build(ctx, kind, norm, _as_fraction(tail))
 
     @classmethod
     def _build(cls, ctx, kind, parts, tail) -> "StepFunction":
         # internal path: parts already pairwise disjoint
         return cls(ctx, kind, _canonical_parts(ctx, parts, tail), tail)
+
+    @classmethod
+    def overlay(cls, ctx, kind, entries, tail) -> "StepFunction":
+        """tail + the sum of v·1_B over (B, v) entries that may overlap or
+        nest, evaluated once on the refinement of all their balls."""
+        totals = {}
+        for b, v in entries:
+            totals[b] = totals.get(b, 0) + _as_fraction(v)
+        index = BallIndex(totals.items())
+        parts = []
+        for root in totals:
+            if index.covering(root.parent()) is not None:
+                continue
+            cuts = [b for b, _ in index.inside(root)]
+            for cell in split_cells(root, cuts):
+                value = sum((v for _, v in index.around(cell)), tail)
+                parts.append((cell, value))
+        return cls._build(ctx, kind, parts, tail)
 
     @classmethod
     def constant(cls, ctx, kind, value) -> "StepFunction":
@@ -222,50 +240,36 @@ class StepFunction:
                 [(b, left_tail_fn(v)) for b, v in other.parts],
                 left_tail_fn(other.tail),
             )
-        # work locally on the deviation parts: overlaps refine pairwise, the
-        # uncovered remainder of each part meets the other function's tail
+        # work locally on the deviation parts: each part meets the other
+        # function's part around it, or the parts inside it and, on the
+        # uncovered remainder, the other function's tail
         parts = []
-        left_covered = [False] * len(self.parts)
+        right = BallIndex(
+            (b2, v2, j) for j, (b2, v2) in enumerate(other.parts)
+        )
         right_covered = [False] * len(other.parts)
-        left_inner = [[] for _ in self.parts]
         right_inner = [[] for _ in other.parts]
-        for i, (b1, v1) in enumerate(self.parts):
-            for j, (b2, v2) in enumerate(other.parts):
-                rel = b1.relation(b2)
-                if rel == EQUAL:
-                    parts.append((b1, fn(v1, v2)))
-                    left_covered[i] = True
+        for b1, v1 in self.parts:
+            hit = right.covering(b1)
+            if hit is not None:
+                b2, v2, j = hit
+                parts.append((b1, fn(v1, v2)))
+                if b1 == b2:
                     right_covered[j] = True
-                elif rel == FIRST_INSIDE_SECOND:
-                    parts.append((b1, fn(v1, v2)))
-                    left_covered[i] = True
+                else:
                     right_inner[j].append(b1)
-                elif rel == SECOND_INSIDE_FIRST:
-                    parts.append((b2, fn(v1, v2)))
-                    right_covered[j] = True
-                    left_inner[i].append(b2)
-        for i, (b1, v1) in enumerate(self.parts):
-            if left_covered[i]:
                 continue
+            inner = right.inside(b1)
+            for b2, v2, j in inner:
+                parts.append((b2, fn(v1, v2)))
+                right_covered[j] = True
             w = v1 if right_tail_fn is None else right_tail_fn(v1)
-            if not left_inner[i]:
-                parts.append((b1, w))
-                continue
-            rest = ClopenSet.of(self.ctx, [b1]).subtract(
-                ClopenSet.of(self.ctx, left_inner[i])
-            )
-            parts.extend((b, w) for b in rest.balls)
+            parts.extend((b, w) for b in carve(b1, [b2 for b2, _, _ in inner]))
         for j, (b2, v2) in enumerate(other.parts):
             if right_covered[j]:
                 continue
             w = v2 if left_tail_fn is None else left_tail_fn(v2)
-            if not right_inner[j]:
-                parts.append((b2, w))
-                continue
-            rest = ClopenSet.of(self.ctx, [b2]).subtract(
-                ClopenSet.of(self.ctx, right_inner[j])
-            )
-            parts.extend((b, w) for b in rest.balls)
+            parts.extend((b, w) for b in carve(b2, right_inner[j]))
         return StepFunction._build(
             self.ctx, self.kind, parts, fn(self.tail, other.tail)
         )
@@ -288,8 +292,12 @@ class StepFunction:
         """(value, m(part ball ∩ S)) for each part, plus the residual tail mass."""
         out = []
         covered = Fraction(0)
+        index = BallIndex((b, None) for b in s.balls)
         for b, v in self.parts:
-            m = ClopenSet.of(self.ctx, [b]).intersect(s).measure
+            if index.covering(b) is not None:
+                m = b.measure
+            else:
+                m = sum((c.measure for c, _ in index.inside(b)), Fraction(0))
             if m:
                 out.append((v, m))
             covered += m
@@ -340,20 +348,24 @@ def make_step(ctx, kind, parts, tail) -> StepFunction:
     return StepFunction.make(ctx, kind, parts, tail)
 
 
-def common_refinement(f: StepFunction, g: StepFunction):
-    """Rewrite both functions on one shared partition (plus matching tails)."""
+def common_refinement(f: StepFunction, g: StepFunction, radius_exp=None):
+    """Rewrite both functions on one shared partition of B(0; R), as sorted
+    (cell, f value, g value) triples; R defaults to the smallest radius
+    enclosing both."""
     if f.ctx.p != g.ctx.p:
         raise ContextMismatch("step functions over different primes")
-    r = max(f.enclosing_exp(), g.enclosing_exp())
-    left = f.padded_partition(r)
-    right = g.padded_partition(r)
+    r = radius_exp
+    if r is None:
+        r = max(f.enclosing_exp(), g.enclosing_exp())
+    right = BallIndex(g.padded_partition(r))
     cells = []
-    for b1, v1 in left:
-        for b2, v2 in right:
-            rel = b1.relation(b2)
-            if rel in (EQUAL, FIRST_INSIDE_SECOND):
-                cells.append((b1, v1, v2))
-            elif rel == SECOND_INSIDE_FIRST:
-                cells.append((b2, v1, v2))
+    # both sides partition B(0; R): a cell lies inside one part of the other
+    # side or is partitioned by the parts inside it
+    for b1, v1 in f.padded_partition(r):
+        hit = right.covering(b1)
+        if hit is not None:
+            cells.append((b1, v1, hit[1]))
+        else:
+            cells.extend((b2, v1, v2) for b2, v2 in right.inside(b1))
     cells.sort(key=lambda c: c[0].sort_key())
     return cells
