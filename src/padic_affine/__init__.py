@@ -45,7 +45,6 @@ from .padic import (
     ball_relation,
     clopen_combine,
     digits,
-    sample_uniform,
     split_ball,
     valuation,
 )
@@ -60,7 +59,6 @@ from .poisson import (
     pair_sum,
     required_depth,
     sample_config,
-    transform_Vg,
 )
 from .representation import (
     CheckReport,

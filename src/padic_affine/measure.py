@@ -18,9 +18,14 @@ from .stepfn import REAL, StepFunction
 
 class IntensityMeasure:
     """A measure rho·m with a nonnegative step density agreeing with Haar
-    (density 1) at infinity."""
+    (density 1) at infinity.
 
-    __slots__ = ("density",)
+    `prepared` memoizes the last Poisson draw prepared on this measure
+    (a poisson.PreparedDraw, keyed by its window); the density never
+    changes, so the entry is stale only for another window.
+    """
+
+    __slots__ = ("density", "prepared")
 
     def __init__(self, density: StepFunction):
         if density.kind != REAL:
@@ -30,6 +35,7 @@ class IntensityMeasure:
         if any(v < 0 for _, v in density.parts):
             raise PadicAffineError("density values must be nonnegative")
         self.density = density
+        self.prepared = None
 
     @classmethod
     def haar(cls, ctx: PadicContext) -> "IntensityMeasure":
@@ -47,9 +53,6 @@ class IntensityMeasure:
 
     def __repr__(self):
         return f"IntensityMeasure({self.density!r})"
-
-    def is_haar(self) -> bool:
-        return not self.density.parts
 
     def mass(self, s: ClopenSet) -> Fraction:
         return self.density.integrate(s)

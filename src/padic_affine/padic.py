@@ -576,7 +576,3 @@ def clopen_combine(a: ClopenSet, b: ClopenSet, op: str) -> ClopenSet:
     if op == "subtract":
         return a.subtract(b)
     raise ValueError(f"unknown op {op!r}")
-
-
-def sample_uniform(ball: Ball, depth: int, rng) -> Padic:
-    return ball.sample(depth, rng)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -222,21 +223,111 @@ def refine_window(window: ClopenSet, fns: list) -> list:
 
 # -- sampling ---------------------------------------------------------------
 
+MAX_POINTS = 10**6
+"""Cap on the expected point count of one Poisson draw. A window or measure
+above it is refused with a PadicAffineError instead of being sampled; the
+check is exact, so a rate too large for a float never reaches float()."""
 
-def _poisson_inverse(lam: float, u: float) -> int:
-    """Poisson variate by CDF inversion from a single uniform."""
-    if lam <= 0.0:
-        return 0
-    k = 0
+SPLIT_RATE = 700.0
+"""Largest rate drawn by one inversion. A larger rate is split into equal
+pieces below it whose counts are summed (Poisson additivity), which keeps
+exp(-rate) clear of underflow and every count inside the table."""
+
+_TABLE_END = 1000  # the last k whose P(N <= k) a table holds
+
+
+def _check_total(total: Fraction) -> Fraction:
+    if total > MAX_POINTS:
+        raise PadicAffineError(
+            f"the expected point count exceeds the cap of {MAX_POINTS}"
+        )
+    return total
+
+
+def _cdf_table(lam: float) -> list:
+    """P(N <= k) for N ~ Poisson(lam) and k = 0, 1, ..., _TABLE_END, summed
+    in float by the recurrence p_k = p_{k-1} * (lam / k).
+
+    The table is cut where the sum stops growing for good: past k >= lam the
+    terms only shrink, so every later entry would repeat the last one."""
     pk = math.exp(-lam)
     cdf = pk
-    while u > cdf:
-        k += 1
+    table = [cdf]
+    for k in range(1, _TABLE_END + 1):
         pk *= lam / k
-        cdf += pk
-        if k > 1000:  # numerical guard; unreachable for desk-scale rates
+        grown = cdf + pk
+        if grown == cdf and (pk == 0.0 or k >= lam):
             break
-    return k
+        cdf = grown
+        table.append(cdf)
+    return table
+
+
+class PoissonVariate:
+    """Poisson(rate) counts by inversion: the smallest k with u <= P(N <= k),
+    found by bisection over a CDF table built once per rate.
+
+    A uniform above every entry of the table counts _TABLE_END + 1, the
+    guard value of term-by-term inversion, so draws at or below SPLIT_RATE
+    match it exactly for every uniform.
+    """
+
+    __slots__ = ("pieces", "table", "zero")
+
+    def __init__(self, rate: float):
+        self.pieces = max(1, math.ceil(rate / SPLIT_RATE))
+        self.table = _cdf_table(rate / self.pieces)
+        # u <= P(N = 0) settles most draws of a small rate without a search;
+        # a split rate has no such shortcut
+        self.zero = self.table[0] if self.pieces == 1 else -1.0
+
+    def draw(self, uniform) -> int:
+        """One count, from one uniform() per piece of the rate."""
+        u = uniform()
+        if u <= self.zero:
+            return 0
+        table = self.table
+        size = len(table)
+        total = 0
+        for piece in range(self.pieces):
+            if piece:
+                u = uniform()
+            k = bisect_left(table, u)
+            total += k if k < size else _TABLE_END + 1
+        return total
+
+
+class PreparedDraw:
+    """The Poisson law with intensity rho·m on one window, prepared once.
+
+    Holds the atoms of one refine_window pass, their exact rates as integer
+    cumulative weights W_i over a common denominator (total T), and the
+    variate table of the total rate. A uniform u is the exact binary
+    fraction num/den, so the first atom with u·T < W_i, the one an exact
+    cumulative scan picks, is found by bisection in integers.
+    """
+
+    __slots__ = ("window", "balls", "weights", "variate")
+
+    def __init__(self, mu: IntensityMeasure, window: ClopenSet):
+        cells = refine_window(window, [mu.density])
+        atoms = [(ball, v * ball.measure) for ball, (v,) in cells if v > 0]
+        total = _check_total(sum((rate for _, rate in atoms), Fraction(0)))
+        den = math.lcm(*(rate.denominator for _, rate in atoms))
+        acc = 0
+        weights = []
+        for _, rate in atoms:
+            acc += rate.numerator * (den // rate.denominator)
+            weights.append(acc)
+        self.window = window
+        self.balls = [ball for ball, _ in atoms]
+        self.weights = weights
+        self.variate = PoissonVariate(float(total)) if atoms else None
+
+    def atom(self, u: float) -> Ball:
+        num, den = u.as_integer_ratio()
+        weights = self.weights
+        return self.balls[bisect_right(weights, num * weights[-1] // den)]
 
 
 def sample_config(
@@ -245,26 +336,20 @@ def sample_config(
     """One Poisson configuration on the window with intensity rho·m.
 
     Atom rates are exact rationals; the atom choice compares the uniform
-    draw against exact cumulative weights. Duplicate points (possible only
+    draw against exact cumulative weights. The prepared draw is kept on mu
+    for the next call with an equal window. Duplicate points (possible only
     through finite depth) are resampled.
     """
-    cells = refine_window(window, [mu.density])
-    atoms = [(ball, v * ball.measure) for ball, (v,) in cells if v > 0]
-    total = sum((rate for _, rate in atoms), Fraction(0))
-    if total == 0:
+    draw = mu.prepared
+    if draw is None or draw.window != window:
+        draw = mu.prepared = PreparedDraw(mu, window)
+    if draw.variate is None:
         return Configuration((), window)
-    n = _poisson_inverse(float(total), rng.random())
+    n = draw.variate.draw(rng.random)
     points = []
     seen = set()
     for _ in range(n):
-        threshold = Fraction(rng.random()) * total
-        acc = Fraction(0)
-        chosen = atoms[-1][0]
-        for ball, rate in atoms:
-            acc += rate
-            if threshold < acc:
-                chosen = ball
-                break
+        chosen = draw.atom(rng.random())
         # a collision means the two continuum points share their first
         # digits; append digits within the collided residue until distinct,
         # which leaves every coarser count untouched
@@ -277,13 +362,6 @@ def sample_config(
         seen.add(x)
         points.append(x)
     return Configuration(tuple(points), window)
-
-
-# -- the V_g action ---------------------------------------------------------
-
-
-def transform_Vg(g: AffineElement, f: CylinderFunction) -> CylinderFunction:
-    return f.transform(g)
 
 
 # -- exact expectations -----------------------------------------------------
@@ -312,9 +390,15 @@ def laplace_exponent(f: StepFunction, mu: IntensityMeasure) -> float:
     if hull.is_empty:
         return 0.0
     cells = refine_window(hull, [f, mu.density])
-    return math.fsum(
-        math.expm1(fv) * float(rv * cell.measure) for cell, (fv, rv) in cells
-    )
+    try:
+        return math.fsum(
+            math.expm1(fv) * float(rv * cell.measure) for cell, (fv, rv) in cells
+        )
+    except OverflowError as exc:
+        raise PadicAffineError(
+            "the Laplace exponent overflows a float: a value of f or the "
+            "mass of a cell is too large"
+        ) from exc
 
 
 def _moment1(f: StepFunction, mu: IntensityMeasure) -> Fraction:
@@ -400,11 +484,13 @@ def mc_atoms(mu: IntensityMeasure, window: ClopenSet, fns: list) -> list:
     distribution-exact, not an approximation.
     """
     cells = refine_window(window, [mu.density] + fns)
-    return [
-        (cell, float(values[0] * cell.measure), values[1:])
+    atoms = [
+        (cell, values[0] * cell.measure, values[1:])
         for cell, values in cells
         if values[0] > 0
     ]
+    _check_total(sum((rate for _, rate, _ in atoms), Fraction(0)))
+    return [(cell, float(rate), values) for cell, rate, values in atoms]
 
 
 def mc_run(atoms: list, eval_counts, n: int, seed: int):
@@ -414,16 +500,16 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
     the estimate is bit-identical for a given (seed, n) regardless of any
     parallel scheduling.
     """
-    rates = [rate for _, rate, _ in atoms]
+    draws = [PoissonVariate(rate).draw for _, rate, _ in atoms]
     total = 0.0
     total_sq = 0.0
     done = 0
     index = 0
     while done < n:
         take = min(_CHUNK, n - done)
-        rng = _chunk_rng(seed, index)
+        uniform = _chunk_rng(seed, index).random
         for _ in range(take):
-            counts = [_poisson_inverse(lam, rng.random()) for lam in rates]
+            counts = [draw(uniform) for draw in draws]
             v = eval_counts(counts)
             total += v
             total_sq += v * v

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine import AffineElement, multiply
+from .affine import AffineElement
 from .errors import ContractViolation, UnsupportedShape, WindowMismatch
 from .measure import IntensityMeasure, pushforward, roundtrip_defect
 from .padic import Ball, ClopenSet
@@ -29,10 +29,9 @@ from .poisson import (
     mc_atoms,
     mc_run,
     refine_window,
-    transform_Vg,
 )
 from .poisson import expect_exact as poisson_expect_exact
-from .stepfn import REAL, StepFunction
+from .stepfn import StepFunction
 
 EXACT_TOL = 1e-9
 MC_SIGMA = 5.0
@@ -334,7 +333,7 @@ def check_factorization(
     Exponential pairs are exact; other shapes go through Monte Carlo."""
     g = find_decoupler(f1.window(), f2.window())
     haar = IntensityMeasure.haar(g.ctx)
-    moved = transform_Vg(g, f2)
+    moved = f2.transform(g)
     if isinstance(f1, Exponential) and isinstance(f2, Exponential):
         lhs = laplace_exponent(f1.f + moved.f, haar)
         rhs = laplace_exponent(f1.f, haar) + laplace_exponent(f2.f, haar)
@@ -357,7 +356,7 @@ def check_invariance(f: CylinderFunction, g: AffineElement) -> CheckReport:
     bset = ClopenSet.of(g.ctx, [ball])
     window = f.window()
     haar = IntensityMeasure.haar(g.ctx)
-    moved = transform_Vg(g, f)
+    moved = f.transform(g)
     lhs = poisson_expect_exact(moved, haar)
     rhs = poisson_expect_exact(f, haar)
     repaired = (
@@ -398,7 +397,7 @@ def check_ergodic_inequality(
     a decoupler; exact where both events have closed forms."""
     g = find_decoupler(a1.window(), a2.window())
     haar = IntensityMeasure.haar(g.ctx)
-    moved = transform_Vg(g, a2)
+    moved = a2.transform(g)
     p1 = poisson_expect_exact(a1, haar)
     p2 = poisson_expect_exact(a2, haar)
     target = p1 * p2

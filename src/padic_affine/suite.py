@@ -12,12 +12,11 @@ import random
 from fractions import Fraction
 
 from .affine import AffineElement, composition_defect, multiply, pair_product
-from .measure import IntensityMeasure, pushforward, roundtrip_defect
+from .measure import IntensityMeasure, pushforward
 from .padic import Ball, ClopenSet, PadicContext
 from .poisson import (
     CountEvent,
     Exponential,
-    expect_exact,
     required_depth,
     sample_config,
 )
@@ -25,14 +24,12 @@ from .randgen import (
     random_clopen,
     random_disjoint_balls,
     random_element,
-    random_localized_shift,
     random_measure_preserving,
     random_point,
     random_test_function,
 )
 from .representation import (
     EXACT,
-    EXACT_TOL,
     MC_SIGMA,
     MONTE_CARLO,
     CheckReport,
@@ -99,7 +96,6 @@ def orientation_trials(ctx, rng, trials) -> CheckReport:
         prod = multiply(g1, g2)
         via_product = prod.section(x).act(x)
         via_sections = pair_product(g1.section(x), g2.section(x)).act(x)
-        step_by_step = g2.section(g1.section(x).act(x)).act(g1.section(x).act(x))
         if via_product != via_sections:
             failures += 1
         # constant-pair composition: the left factor acts first
@@ -107,7 +103,6 @@ def orientation_trials(ctx, rng, trials) -> CheckReport:
         y = g2.section(x).act(g1.section(x).act(x))
         if left_first.act(x) != y:
             failures += 1
-        del step_by_step
     return _count_report("section-orientation", failures, trials)
 
 
@@ -292,16 +287,22 @@ def sampler_reports(ctx, seed, samples) -> list:
     window = ClopenSet.of(ctx, [z])
     depth = required_depth([window], z) + 1
     rng = random.Random(f"sampler:{seed}")
-    children = z.children()
-    counts = [[] for _ in children]
+    p = ctx.p
+    counts = [[] for _ in range(p)]  # per child of Z_p, in digit order
     voids = 0
     n = samples
     for _ in range(n):
         cfg = sample_config(haar, window, depth, rng)
         if not cfg.points:
             voids += 1
-        for i, child in enumerate(children):
-            counts[i].append(sum(1 for x in cfg.points if child.contains(x)))
+        # the child of Z_p holding x is named by the digit of x at position
+        # 0, which is x mod p; x lies in Z_p, so p divides no denominator
+        tally = [0] * p
+        for x in cfg.points:
+            q = x.frac
+            tally[q.numerator * pow(q.denominator, -1, p) % p] += 1
+        for series, c in zip(counts, tally):
+            series.append(c)
     lam = 1.0 / ctx.p
     reports = []
     worst = 0.0
@@ -324,8 +325,8 @@ def sampler_reports(ctx, seed, samples) -> list:
     )
     # pairwise covariance of disjoint regions should vanish
     worst_cov = 0.0
-    for i in range(len(children)):
-        for j in range(i + 1, len(children)):
+    for i in range(p):
+        for j in range(i + 1, p):
             mi = sum(counts[i]) / n
             mj = sum(counts[j]) / n
             prods = [
