@@ -5,17 +5,9 @@ Radon-Nikodym densities, and an audit suite for the claimed identities."""
 from .affine import (
     AffineElement,
     SectionPair,
-    act_configuration,
-    act_function,
-    act_pair,
-    act_point,
     composition_defect,
-    identity,
-    inverse,
     multiply,
     pair_product,
-    preimage_clopen,
-    section,
 )
 from .errors import (
     ContextMismatch,
@@ -30,9 +22,6 @@ from .errors import (
 )
 from .measure import (
     IntensityMeasure,
-    ball_measure,
-    image_ball,
-    l1_deviation,
     pushforward,
     roundtrip_defect,
 )
@@ -41,12 +30,6 @@ from .padic import (
     ClopenSet,
     Padic,
     PadicContext,
-    abs_p,
-    ball_relation,
-    clopen_combine,
-    digits,
-    split_ball,
-    valuation,
 )
 from .poisson import (
     Configuration,
@@ -77,6 +60,6 @@ from .representation import (
     rn_density,
     rn_factors,
 )
-from .stepfn import PADIC, REAL, StepFunction, common_refinement, make_step
+from .stepfn import PADIC, REAL, StepFunction
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .padic import (
     carve,
     fraction_valuation,
 )
-from .stepfn import PADIC, StepFunction, common_refinement
+from .stepfn import PADIC, StepFunction, refine_window
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,6 @@ def pair_product(left: SectionPair, right: SectionPair) -> SectionPair:
     a = right.a_val * left.a_val
     b = left.b_val + left.a_val * right.b_val
     return SectionPair(a, b)
-
-
-def act_pair(s: SectionPair, x: Padic) -> Padic:
-    return s.act(x)
 
 
 class AffineElement:
@@ -106,9 +102,16 @@ class AffineElement:
         return max(self.a.enclosing_exp(), self.b.enclosing_exp())
 
     def pieces(self, radius_exp=None) -> list:
-        """Shared padded partition of B(0; R) as (ball, a_k, b_k) triples."""
+        """Partition of B(0; R) on which a and b are constant, as (ball, a_k,
+        b_k) triples sorted by ball; R defaults to the smallest radius
+        enclosing both."""
         r = self.enclosing_exp() if radius_exp is None else radius_exp
-        return common_refinement(self.a, self.b, r)
+        hull = ClopenSet(self.ctx, (Ball(self.ctx, r, ()),))
+        cells = refine_window(hull, [self.a, self.b])
+        return sorted(
+            ((cell, a_k, b_k) for cell, (a_k, b_k) in cells),
+            key=lambda piece: piece[0].sort_key(),
+        )
 
     # -- group structure ----------------------------------------------------
 
@@ -138,7 +141,7 @@ class AffineElement:
         r = self.enclosing_exp()
         index = BallIndex(f.parts)
         parts = []
-        for cell, a_k, b_k in common_refinement(self.a, self.b, r):
+        for cell, a_k, b_k in self.pieces(r):
             # x -> (x + b_k)/a_k maps cell onto img and keeps every ball
             # relation, so {x in cell : (x + b_k)/a_k in C_j} is all of cell
             # when C_j contains img, else a_k C_j - b_k for C_j inside img
@@ -183,10 +186,6 @@ class AffineElement:
         return True
 
 
-def identity(ctx: PadicContext) -> AffineElement:
-    return AffineElement.identity(ctx)
-
-
 def multiply(left: AffineElement, right: AffineElement) -> AffineElement:
     """Group product; with left = (a2, b2) and right = (a1, b1) this is
     (a1 a2, b2 + a2 b1), so the left factor acts first on points."""
@@ -195,30 +194,6 @@ def multiply(left: AffineElement, right: AffineElement) -> AffineElement:
     a = right.a.combine(left.a, "mul")
     b = left.b.combine(left.a.combine(right.b, "mul"), "add")
     return AffineElement(a, b)
-
-
-def inverse(g: AffineElement) -> AffineElement:
-    return g.inverse()
-
-
-def section(g: AffineElement, x: Padic) -> SectionPair:
-    return g.section(x)
-
-
-def act_point(g: AffineElement, x: Padic) -> Padic:
-    return g.act_point(x)
-
-
-def act_function(g: AffineElement, f: StepFunction) -> StepFunction:
-    return g.act_function(f)
-
-
-def preimage_clopen(g: AffineElement, s: ClopenSet) -> ClopenSet:
-    return g.preimage_clopen(s)
-
-
-def act_configuration(g: AffineElement, points: list) -> tuple:
-    return g.act_configuration(points)
 
 
 def composition_defect(

@@ -28,7 +28,6 @@ from .grammar import (
     format_rational,
     format_step,
     parse_affine,
-    parse_cylinder,
     parse_clopen,
     parse_step,
 )
@@ -180,9 +179,10 @@ def _emit(reports, cfg, extra_lines=None):
 
 
 def _retolerance(reports, cfg):
-    """Apply a caller tolerance to exact-mode checks."""
+    """Apply a caller tolerance to the exact-mode checks whose defect is a
+    relative difference; counts and fixed verdicts keep theirs."""
     for r in reports:
-        if r.mode == EXACT:
+        if r.mode == EXACT and not r.fixed_verdict:
             r.tolerance = cfg.tolerance
             r.passed = r.defect <= cfg.tolerance
     return reports

@@ -67,16 +67,6 @@ class IntensityMeasure:
         return diff.l1_norm()
 
 
-def ball_measure(b: Ball) -> Fraction:
-    """Haar measure p^k of a ball, under the normalization m(Z_p) = 1."""
-    return b.measure
-
-
-def image_ball(b: Ball, a_val, b_val) -> Ball:
-    """The image (B + b)/a of a ball under a constant section."""
-    return b.image(Fraction(a_val), Fraction(b_val))
-
-
 def pushforward(mu: IntensityMeasure, g: AffineElement) -> IntensityMeasure:
     """Exact step density of g*(rho·m); overlaps are summed on a common
     refinement, so total mass over the moved region is conserved."""
@@ -104,10 +94,6 @@ def pushforward(mu: IntensityMeasure, g: AffineElement) -> IntensityMeasure:
     total = StepFunction.overlay(ctx, REAL, entries, Fraction(1))
     assert all(v >= 0 for _, v in total.parts)
     return IntensityMeasure(total)
-
-
-def l1_deviation(mu: IntensityMeasure) -> Fraction:
-    return mu.l1_deviation()
 
 
 def roundtrip_defect(g: AffineElement) -> Fraction:

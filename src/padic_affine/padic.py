@@ -164,18 +164,6 @@ class Padic:
         return fraction_digits(self.frac, self.ctx.p, lo, hi)
 
 
-def valuation(x: Padic):
-    return x.valuation()
-
-
-def abs_p(x: Padic) -> Fraction:
-    return x.abs_p()
-
-
-def digits(x: Padic, lo: int, hi: int) -> list:
-    return x.digits(lo, hi)
-
-
 # -- balls ------------------------------------------------------------------
 
 EQUAL = "equal"
@@ -268,9 +256,6 @@ class Ball:
             return SECOND_INSIDE_FIRST
         return DISJOINT
 
-    def is_disjoint(self, other: "Ball") -> bool:
-        return self.relation(other) == DISJOINT
-
     def children(self) -> list:
         """The p disjoint sub-balls of radius p^{k-1} partitioning this ball."""
         k = self.radius_exp
@@ -283,14 +268,6 @@ class Ball:
     def parent(self) -> "Ball":
         k = self.radius_exp
         return Ball(self.ctx, k + 1, self.truncate_key(k + 1))
-
-    def sibling_index(self) -> int:
-        # digit distinguishing this ball among its parent's children
-        pos = -self.radius_exp - 1
-        for i, d in self.key:
-            if i == pos:
-                return d
-        return 0
 
     def enclosing_zero_exp(self) -> int:
         """Smallest R with this ball inside B(0; R)."""
@@ -325,14 +302,6 @@ class Ball:
         n = rng.randrange(p**depth)
         offset = Fraction(n, p**k) if k >= 0 else Fraction(n * p**-k)
         return Padic(self.ctx, self.center.frac + offset)
-
-
-def ball_relation(b1: Ball, b2: Ball) -> str:
-    return b1.relation(b2)
-
-
-def split_ball(b: Ball) -> list:
-    return b.children()
 
 
 def _slots(ball: Ball, radii: list):
@@ -428,31 +397,87 @@ def first_overlap(balls: list):
     return min(pairs, default=None)
 
 
-def split_cells(ball: Ball, cuts: list) -> list:
-    """Partition of `ball` into sub-balls, none of which has a cut strictly
-    inside it; `cuts` holds balls strictly inside `ball` (nesting allowed).
-    Cells come depth first, children in digit order."""
+def split_cells(ball: Ball, cuts: list, values: tuple = ()) -> list:
+    """Partition of `ball` into sub-balls none of which has a cut strictly
+    inside it, as (cell, values) pairs, depth first, children in digit order.
+
+    `cuts` holds (ball, slot, value) triples whose balls lie strictly inside
+    `ball` (nesting allowed). A cell carries its parent's values, with
+    values[slot] = value for each cut whose ball equals the cell; that cell
+    is the cut's own Ball, so a center it has cached is kept."""
     if not cuts:
-        return [ball]
+        return [(ball, values)]
+    out = []
+    _descend(ball, values, cuts, out)
+    return out
+
+
+def _descend(ball, values, cuts, out):
     k = ball.radius_exp
     pos = -k
+    n = len(ball.key)
     groups = {}
-    for c in cuts:
-        # the digit at position -k picks the child holding c
-        digit = next((d for i, d in c.key if i == pos), 0)
-        if c.radius_exp < k - 1:
-            groups.setdefault(digit, []).append(c)
-    out = []
-    for digit, child in enumerate(ball.children()):
-        out.extend(split_cells(child, groups.get(digit, [])))
-    return out
+    for cut in cuts:
+        # the digit at position -k picks the child holding the cut; a key
+        # inside the ball starts with the ball's key, so it is entry n
+        key = cut[0].key
+        digit = key[n][1] if len(key) > n and key[n][0] == pos else 0
+        groups.setdefault(digit, []).append(cut)
+    for digit in range(ball.ctx.p):
+        child = None
+        vals = values
+        deeper = []
+        for cut in groups.get(digit, ()):
+            if cut[0].radius_exp == k - 1:
+                child = cut[0]
+                if vals is values:
+                    vals = list(values)
+                vals[cut[1]] = cut[2]
+            else:
+                deeper.append(cut)
+        if child is None:
+            key = ball.key if digit == 0 else ball.key + ((pos, digit),)
+            child = Ball(ball.ctx, k - 1, key)
+        if deeper:
+            _descend(child, tuple(vals), deeper, out)
+        else:
+            out.append((child, tuple(vals)))
 
 
 def carve(ball: Ball, holes: list) -> list:
     """`ball` minus the disjoint balls `holes` strictly inside it, as
     disjoint balls with no complete sibling family."""
-    drop = set(holes)
-    return [c for c in split_cells(ball, holes) if c not in drop]
+    cells = split_cells(ball, [(h, 0, True) for h in holes], (False,))
+    return [cell for cell, (hole,) in cells if not hole]
+
+
+def merge_siblings(ctx: PadicContext, parts: list) -> tuple:
+    """Disjoint (ball, value) pairs with every complete family of p sibling
+    balls of one value merged into their parent, until none is left, sorted
+    by (radius_exp, key).
+
+    A merge only completes a family one level up, so one pass per radius,
+    from the smallest, reaches the same result as repeating full passes."""
+    p = ctx.p
+    if len(parts) < p:  # too few to hold a family
+        return tuple(sorted(parts, key=lambda part: part[0].sort_key()))
+    levels = {}
+    for part in parts:
+        levels.setdefault(part[0].radius_exp, []).append(part)
+    out = []
+    while levels:
+        r = min(levels)
+        families = {}
+        for part in levels.pop(r):
+            families.setdefault(part[0].truncate_key(r + 1), []).append(part)
+        for key, members in families.items():
+            value = members[0][1]
+            if len(members) == p and all(v == value for _, v in members):
+                levels.setdefault(r + 1, []).append((Ball(ctx, r + 1, key), value))
+            else:
+                out.extend(members)
+    out.sort(key=lambda part: part[0].sort_key())
+    return tuple(out)
 
 
 class ClopenSet:
@@ -545,34 +570,7 @@ def _canonical_balls(ctx: PadicContext, balls: list) -> tuple:
     if len(balls) == 1:
         return tuple(balls)
     # dedupe and drop balls nested inside others
-    unique = list({b: None for b in balls})
-    index = BallIndex((b, None) for b in unique)
-    keep = [b for b in unique if index.covering(b.parent()) is None]
-    # merge complete sibling families into parents, repeatedly
-    p = ctx.p
-    changed = True
-    while changed:
-        changed = False
-        groups = {}
-        for b in keep:
-            groups.setdefault((b.radius_exp, b.truncate_key(b.radius_exp + 1)), []).append(b)
-        merged = []
-        for (_, _), members in groups.items():
-            if len(members) == p:
-                merged.append(members[0].parent())
-                changed = True
-            else:
-                merged.extend(members)
-        keep = merged
-    keep.sort(key=Ball.sort_key)
-    return tuple(keep)
-
-
-def clopen_combine(a: ClopenSet, b: ClopenSet, op: str) -> ClopenSet:
-    if op == "union":
-        return a.union(b)
-    if op == "intersect":
-        return a.intersect(b)
-    if op == "subtract":
-        return a.subtract(b)
-    raise ValueError(f"unknown op {op!r}")
+    entries = [(b, None) for b in dict.fromkeys(balls)]
+    index = BallIndex(entries)
+    keep = [e for e in entries if index.covering(e[0].parent()) is None]
+    return tuple(b for b, _ in merge_siblings(ctx, keep))

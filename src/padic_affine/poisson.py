@@ -23,8 +23,8 @@ from .errors import (
     WindowMismatch,
 )
 from .measure import IntensityMeasure
-from .padic import Ball, BallIndex, ClopenSet, Padic, split_cells
-from .stepfn import REAL, StepFunction
+from .padic import Ball, ClopenSet, Padic
+from .stepfn import REAL, StepFunction, refine_window
 
 
 @dataclass(frozen=True)
@@ -191,34 +191,6 @@ def required_depth(objects, ball: Ball) -> int:
             raise PadicAffineError(f"cannot take depth of {type(obj).__name__}")
     r_min = min(exps, default=ball.radius_exp)
     return max(1, ball.radius_exp - r_min)
-
-
-# -- refinement atoms -------------------------------------------------------
-
-
-def refine_window(window: ClopenSet, fns: list) -> list:
-    """Partition the window into balls on which every listed function is
-    constant; returns (cell, tuple of per-function values)."""
-    lookups = []
-    for fn in fns:
-        if isinstance(fn, StepFunction):
-            lookups.append((BallIndex(fn.parts), fn.tail))
-        elif isinstance(fn, ClopenSet):
-            lookups.append((BallIndex((b, True) for b in fn.balls), False))
-        else:
-            raise PadicAffineError(f"cannot refine against {type(fn).__name__}")
-    cells = []
-    for w in window.balls:
-        cuts = [b for index, _ in lookups for b, _ in index.inside(w)]
-        for cell in split_cells(w, cuts):
-            # no cut lies strictly inside a cell, so each function's value
-            # there is that of the part equal to or containing it
-            values = []
-            for index, default in lookups:
-                hit = index.covering(cell)
-                values.append(default if hit is None else hit[1])
-            cells.append((cell, tuple(values)))
-    return cells
 
 
 # -- sampling ---------------------------------------------------------------
@@ -438,10 +410,18 @@ def _predicate_prob(op: str, k: int, lam: float) -> float:
     return 1.0 - sum(_poisson_pmf(lam, j) for j in range(k))
 
 
+def exp_checked(x: float) -> float:
+    """e^x, or a PadicAffineError when it overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError as exc:
+        raise PadicAffineError(f"e^{x:.6g} overflows a float") from exc
+
+
 def expect_exact(f: CylinderFunction, mu: IntensityMeasure) -> float:
     """Closed-form Poisson expectation for the supported shapes."""
     if isinstance(f, Exponential):
-        return math.exp(laplace_exponent(f.f, mu))
+        return exp_checked(laplace_exponent(f.f, mu))
     if isinstance(f, Polynomial):
         if f.degree > 2:
             raise UnsupportedShape("polynomial expectations need degree <= 2")
@@ -573,18 +553,37 @@ def _descriptor_fns(f: CylinderFunction) -> list:
     raise UnsupportedShape(f"unknown descriptor {type(f).__name__}")
 
 
+def product_evaluator(mu: IntensityMeasure, fs: list):
+    """(atoms, evaluator) for Monte Carlo of the product of the descriptors
+    fs under pi_mu: mc_atoms on the hull of their windows and the density's
+    support, and the product of their count evaluators."""
+    window = _hull(mu.ctx, *(f.window() for f in fs), mu.density.deviation_support())
+    groups = [_descriptor_fns(f) for f in fs]
+    atoms = mc_atoms(mu, window, [fn for fns in groups for fn in fns])
+    evs = []
+    offset = 0
+    for f, fns in zip(fs, groups):
+        evs.append(_counts_evaluator(f, atoms, offset))
+        offset += len(fns)
+    if len(evs) == 1:
+        return atoms, evs[0]
+
+    def product(counts):
+        out = 1.0
+        for ev in evs:
+            out *= ev(counts)
+        return out
+
+    return atoms, product
+
+
 def expect_mc(f: CylinderFunction, mu: IntensityMeasure, n: int, seed: int):
     """Monte Carlo mean and standard error over n independent configurations
     on an auto-derived window; deterministic for a fixed seed."""
     if n < 1000:
         raise PadicAffineError("Monte Carlo runs need n >= 1000")
-    window = _hull(
-        mu.ctx, f.window(), mu.density.deviation_support()
-    )
-    if window.is_empty:
-        v = f.evaluate(Configuration((), ClopenSet.empty(mu.ctx)))
-        return v, 0.0
-    fns = _descriptor_fns(f)
-    atoms = mc_atoms(mu, window, fns)
-    ev = _counts_evaluator(f, atoms)
+    atoms, ev = product_evaluator(mu, [f])
+    if not atoms:
+        # no point can land, so every configuration is the empty one
+        return ev([]), 0.0
     return mc_run(atoms, ev, n, seed)

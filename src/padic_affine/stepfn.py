@@ -16,16 +16,16 @@ from .errors import (
     ContextMismatch,
     KindMismatch,
     OverlappingParts,
+    PadicAffineError,
     UnboundedIntegral,
 )
 from .padic import (
-    Ball,
     BallIndex,
     ClopenSet,
     Padic,
-    PadicContext,
     carve,
     first_overlap,
+    merge_siblings,
     split_cells,
 )
 
@@ -35,31 +35,6 @@ REAL = "real"
 
 def _as_fraction(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
-
-
-def _canonical_parts(ctx: PadicContext, parts, tail: Fraction) -> tuple:
-    live = [(b, v) for b, v in parts if v != tail]
-    p = ctx.p
-    if len(live) < p:
-        live.sort(key=lambda bv: bv[0].sort_key())
-        return tuple(live)
-    changed = True
-    while changed:
-        changed = False
-        groups = {}
-        for b, v in live:
-            key = (b.radius_exp, b.truncate_key(b.radius_exp + 1))
-            groups.setdefault(key, []).append((b, v))
-        merged = []
-        for members in groups.values():
-            if len(members) == p and len({v for _, v in members}) == 1:
-                merged.append((members[0][0].parent(), members[0][1]))
-                changed = True
-            else:
-                merged.extend(members)
-        live = merged
-    live.sort(key=lambda bv: bv[0].sort_key())
-    return tuple(live)
 
 
 class StepFunction:
@@ -98,7 +73,8 @@ class StepFunction:
     @classmethod
     def _build(cls, ctx, kind, parts, tail) -> "StepFunction":
         # internal path: parts already pairwise disjoint
-        return cls(ctx, kind, _canonical_parts(ctx, parts, tail), tail)
+        live = [(b, v) for b, v in parts if v != tail]
+        return cls(ctx, kind, merge_siblings(ctx, live), tail)
 
     @classmethod
     def overlay(cls, ctx, kind, entries, tail) -> "StepFunction":
@@ -108,14 +84,17 @@ class StepFunction:
         for b, v in entries:
             totals[b] = totals.get(b, 0) + _as_fraction(v)
         index = BallIndex(totals.items())
+        # the value on a cell is that of the smallest entry around it: its
+        # own total plus the totals of every entry around that one
+        level = {b: sum((v for _, v in index.around(b)), tail) for b in totals}
         parts = []
         for root in totals:
             if index.covering(root.parent()) is not None:
                 continue
-            cuts = [b for b, _ in index.inside(root)]
-            for cell in split_cells(root, cuts):
-                value = sum((v for _, v in index.around(cell)), tail)
-                parts.append((cell, value))
+            cuts = [(b, 0, level[b]) for b, _ in index.inside(root)]
+            parts.extend(
+                (cell, v) for cell, (v,) in split_cells(root, cuts, (level[root],))
+            )
         return cls._build(ctx, kind, parts, tail)
 
     @classmethod
@@ -153,17 +132,6 @@ class StepFunction:
         if not self.parts:
             return floor
         return max(max(b.enclosing_zero_exp() for b, _ in self.parts), floor)
-
-    def padded_partition(self, radius_exp=None) -> list:
-        """Full partition of B(0; R) as (ball, value) pairs, pads at tail value."""
-        r = self.enclosing_exp() if radius_exp is None else radius_exp
-        cells = list(self.parts)
-        hull = Ball(self.ctx, r, ())
-        covered = ClopenSet.of(self.ctx, [b for b, _ in self.parts])
-        pad = ClopenSet.of(self.ctx, [hull]).subtract(covered)
-        cells.extend((b, self.tail) for b in pad.balls)
-        cells.sort(key=lambda bv: bv[0].sort_key())
-        return cells
 
     def deviation_support(self) -> ClopenSet:
         """Exact clopen set where the function differs from its tail."""
@@ -344,28 +312,28 @@ class StepFunction:
         return sum((abs(v) * b.measure for b, v in self.parts), Fraction(0))
 
 
-def make_step(ctx, kind, parts, tail) -> StepFunction:
-    return StepFunction.make(ctx, kind, parts, tail)
+def refine_window(window: ClopenSet, fns: list) -> list:
+    """Partition the window into balls on which every listed step function
+    or clopen set is constant, as (cell, tuple of per-function values);
+    cells come depth first, children in digit order.
 
-
-def common_refinement(f: StepFunction, g: StepFunction, radius_exp=None):
-    """Rewrite both functions on one shared partition of B(0; R), as sorted
-    (cell, f value, g value) triples; R defaults to the smallest radius
-    enclosing both."""
-    if f.ctx.p != g.ctx.p:
-        raise ContextMismatch("step functions over different primes")
-    r = radius_exp
-    if r is None:
-        r = max(f.enclosing_exp(), g.enclosing_exp())
-    right = BallIndex(g.padded_partition(r))
-    cells = []
-    # both sides partition B(0; R): a cell lies inside one part of the other
-    # side or is partitioned by the parts inside it
-    for b1, v1 in f.padded_partition(r):
-        hit = right.covering(b1)
-        if hit is not None:
-            cells.append((b1, v1, hit[1]))
+    One descent per window ball: a function's value on a cell is that of
+    its part equal to the cell, else the value carried down from above."""
+    indexes = []
+    for fn in fns:
+        if isinstance(fn, StepFunction):
+            indexes.append((BallIndex(fn.parts), fn.tail))
+        elif isinstance(fn, ClopenSet):
+            indexes.append((BallIndex((b, True) for b in fn.balls), False))
         else:
-            cells.extend((b2, v1, v2) for b2, v2 in right.inside(b1))
-    cells.sort(key=lambda c: c[0].sort_key())
+            raise PadicAffineError(f"cannot refine against {type(fn).__name__}")
+    cells = []
+    for w in window.balls:
+        values = []
+        cuts = []
+        for slot, (index, default) in enumerate(indexes):
+            hit = index.covering(w)
+            values.append(default if hit is None else hit[1])
+            cuts.extend((b, slot, v) for b, v in index.inside(w))
+        cells.extend(split_cells(w, cuts, tuple(values)))
     return cells

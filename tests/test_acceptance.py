@@ -22,7 +22,6 @@ from padic_affine import (
     IntensityMeasure,
     PadicContext,
     StepFunction,
-    act_point,
     check_factorization,
     check_ergodic_inequality,
     check_isometry,
@@ -115,7 +114,7 @@ def test_criterion_03_pushforward_density(capsys):
     n = 200000
     counts = [0] * len(cells)
     for _ in range(n):
-        y = act_point(g0, window.sample(4, srng))
+        y = g0.act_point(window.sample(4, srng))
         for i, c in enumerate(cells):
             if c.contains(y):
                 counts[i] += 1

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from padic_affine.cli import main
+from padic_affine import representation, suite
+from padic_affine.cli import RunConfig, _retolerance, main
+from padic_affine.padic import Ball, ClopenSet, PadicContext
+from padic_affine.poisson import CountEvent
 
 
 def run(capsys, *argv):
@@ -83,6 +86,72 @@ class TestChecks:
         )
         payload = json.loads(out)
         assert payload[0]["tolerance"] == 0.5
+
+
+class TestToleranceScope:
+    """--tolerance re-judges relative differences only."""
+
+    def config(self, tolerance):
+        return RunConfig(
+            p=3, seed=0, samples=1000, depth_margin=1, tolerance=tolerance,
+            as_json=False,
+        )
+
+    def test_count_reports_keep_their_verdict(self):
+        report = suite._count_report("group-axioms", 1, 10)
+        [out] = _retolerance([report], self.config(2.0))
+        assert not out.passed
+
+    def test_ergodic_bound_failure_stays(self, monkeypatch):
+        ctx = PadicContext(3)
+        event = CountEvent(((ClopenSet.of(ctx, [Ball(ctx, 0, ())]), ">=", 1),))
+        # a joint probability below half the product of the marginals
+        monkeypatch.setattr(
+            representation, "poisson_expect_exact",
+            lambda f, mu: 0.3 if len(f.conditions) > 1 else 0.9,
+        )
+        report = representation.check_ergodic_inequality(event, event)
+        assert not report.passed
+        [out] = _retolerance([report], self.config(2.0))
+        assert not out.passed
+        assert out.note == "below half the product bound"
+
+
+IDENTITY = "aff(a = {| tail 1}, b = {| tail 0})"
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("command", ["laplace", "rn", "unitarity"])
+    def test_large_exponent_compares_exponents(self, capsys, command):
+        """With f = 100 on Z_3 the expectations are e^(e^100 - 1) and
+        beyond; the report compares their exponents."""
+        code, out, err = run(
+            capsys, "--p", "3", command, "--g", IDENTITY,
+            "--f", "{B(0;0): 100 | tail 0}",
+        )
+        assert code == 0
+        assert err == ""
+        assert "compared" in out
+
+    @pytest.mark.parametrize("command", ["laplace", "rn", "unitarity"])
+    def test_value_beyond_float_range_exits_2(self, capsys, command):
+        code, out, err = run(
+            capsys, "--p", "3", command, "--g", IDENTITY,
+            "--f", "{B(0;0): 1000 | tail 0}",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["laplace", "rn", "unitarity"])
+    def test_mc_target_beyond_float_range_exits_2(self, capsys, command):
+        code, out, err = run(
+            capsys, "--p", "3", command, "--g", IDENTITY,
+            "--f", "{B(0;0): 100 | tail 0}", "--mc", "--samples", "1000",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestDecoupleAndSample:

@@ -19,11 +19,9 @@ from padic_affine.padic import (
     FIRST_INSIDE_SECOND,
     SECOND_INSIDE_FIRST,
     INFINITY,
-    ball_relation,
     fraction_abs_p,
     fraction_digits,
     fraction_valuation,
-    split_ball,
 )
 
 PRIMES = [2, 3, 5]
@@ -156,10 +154,6 @@ class TestBalls:
             for kj in kids[i + 1:]:
                 assert ki.relation(kj) == DISJOINT
 
-    def test_split_alias(self):
-        b = Ball.from_center(self.ctx.rational(0), 0)
-        assert split_ball(b) == b.children()
-
     @given(
         p=st.sampled_from(PRIMES),
         c1=rationals, c2=rationals,
@@ -171,7 +165,7 @@ class TestBalls:
         ctx = PadicContext(p)
         b1 = Ball.from_center(Padic(ctx, c1), k1)
         b2 = Ball.from_center(Padic(ctx, c2), k2)
-        rel = ball_relation(b1, b2)
+        rel = b1.relation(b2)
         in12 = b2.contains(b1.center)
         in21 = b1.contains(b2.center)
         if rel == EQUAL:

@@ -24,7 +24,7 @@ from padic_affine import (
     required_depth,
     sample_config,
 )
-from padic_affine.errors import UnsupportedShape, WindowMismatch
+from padic_affine.errors import PadicAffineError, UnsupportedShape, WindowMismatch
 from padic_affine.poisson import laplace_exponent
 from padic_affine.stepfn import REAL
 
@@ -95,6 +95,12 @@ class TestExactExpectations:
         assert expect_exact(f, self.haar) == pytest.approx(
             math.exp(math.expm1(0.5)), rel=1e-12
         )
+
+    def test_exponential_beyond_float_range_is_typed(self):
+        """e^(e^100 - 1) does not fit a float."""
+        f = Exponential(indicator_step(self.ctx, self.z, 100))
+        with pytest.raises(PadicAffineError):
+            expect_exact(f, self.haar)
 
     def test_void_probability(self):
         ev = CountEvent(((ClopenSet.of(self.ctx, [self.z]), "=", 0),))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from padic_affine import Ball, ClopenSet, Padic, PadicContext, StepFunction
 from padic_affine.errors import KindMismatch, OverlappingParts, UnboundedIntegral
-from padic_affine.stepfn import PADIC, REAL, common_refinement, make_step
+from padic_affine.stepfn import PADIC, REAL, refine_window
 
 PRIMES = [2, 3, 5]
 
@@ -63,12 +63,6 @@ class TestConstruction:
         g = StepFunction.constant(self.ctx, PADIC, 1)
         with pytest.raises(KindMismatch):
             f + g
-
-    def test_make_step_alias(self):
-        z = Ball.from_center(self.ctx.rational(0), 0)
-        assert make_step(self.ctx, REAL, [(z, 1)], 0) == StepFunction.make(
-            self.ctx, REAL, [(z, 1)], 0
-        )
 
 
 class TestPointwise:
@@ -180,11 +174,13 @@ def _leaves(ball, levels):
 class TestRefinement:
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
-    def test_common_refinement_covers(self, seed):
+    def test_refine_window_covers(self, seed):
         ctx = PadicContext(3)
         rng = random.Random(seed)
         f, g = random_step(ctx, rng), random_step(ctx, rng)
-        triples = common_refinement(f, g)
+        hull = Ball(ctx, max(f.enclosing_exp(), g.enclosing_exp()), ())
+        cells = refine_window(ClopenSet.of(ctx, [hull]), [f, g])
+        triples = [(cell, v1, v2) for cell, (v1, v2) in cells]
         for cell, v1, v2 in triples:
             assert f(cell.center) == v1
             assert g(cell.center) == v2
