@@ -1,8 +1,9 @@
 """Haar measure, intensity measures with step densities, and pushforwards.
 
 The pushforward of an intensity rho·m under a group element g has again a
-step density: each piece (B_k, a_k, b_k) contributes |a_k|_p · rho(a_k y - b_k)
-on the image ball C_k = (B_k + b_k)/a_k, and overlapping contributions sum.
+step density: on each cell B_k of the joint refinement of a, b and rho, where
+they take the values a_k, b_k and r_k, the cell contributes |a_k|_p · r_k on
+its image ball C_k = (B_k + b_k)/a_k, and overlapping contributions sum.
 With rho = 1 this is the exact density rho_g of g* m.
 """
 
@@ -12,8 +13,8 @@ from fractions import Fraction
 
 from .affine import AffineElement
 from .errors import PadicAffineError
-from .padic import Ball, BallIndex, ClopenSet, PadicContext, carve, fraction_abs_p
-from .stepfn import REAL, StepFunction
+from .padic import Ball, ClopenSet, PadicContext, fraction_abs_p
+from .stepfn import REAL, StepFunction, refine_window
 
 
 class IntensityMeasure:
@@ -73,24 +74,16 @@ def pushforward(mu: IntensityMeasure, g: AffineElement) -> IntensityMeasure:
     ctx = mu.ctx
     rho = mu.density
     r = max(g.enclosing_exp(), rho.enclosing_exp())
-    index = BallIndex(rho.parts)
+    hull = Ball(ctx, r, ())
+    cells = refine_window(ClopenSet(ctx, (hull,)), [g.a, g.b, rho])
     # outside the moved hull rho is 1 already; inside it the contributions
-    # of all pieces are summed in one pass
-    entries = [(Ball(ctx, r, ()), Fraction(-1))]
-    for cell, a_k, b_k in g.pieces(r):
-        c_k = cell.image(a_k, b_k)
-        scale = fraction_abs_p(a_k, ctx.p)
-        # pull rho back through y -> a_k y - b_k, restricted to C_k: the
-        # map x -> (x + b_k)/a_k takes cell onto C_k and each part of rho
-        # onto its image, keeping every ball relation
-        hit = index.covering(cell)
-        if hit is not None:
-            entries.append((c_k, scale * hit[1]))
-            continue
-        inner = [(d_j.image(a_k, b_k), r_j) for d_j, r_j in index.inside(cell)]
-        entries.extend((d, scale * r_j) for d, r_j in inner)
-        rest = carve(c_k, [d for d, _ in inner])
-        entries.extend((b, scale * rho.tail) for b in rest)
+    # of all cells are summed in one pass. y in cell.image(a, b) pulls back
+    # to a·y - b in the cell, where a, b and rho are constant
+    entries = [(hull, Fraction(-1))]
+    entries.extend(
+        (cell.image(a, b), fraction_abs_p(a, ctx.p) * v)
+        for cell, (a, b, v) in cells
+    )
     total = StepFunction.overlay(ctx, REAL, entries, Fraction(1))
     assert all(v >= 0 for _, v in total.parts)
     return IntensityMeasure(total)

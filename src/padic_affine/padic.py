@@ -157,9 +157,6 @@ class Padic:
     def valuation(self):
         return fraction_valuation(self.frac, self.ctx.p)
 
-    def abs_p(self) -> Fraction:
-        return fraction_abs_p(self.frac, self.ctx.p)
-
     def digits(self, lo: int, hi: int) -> list:
         return fraction_digits(self.frac, self.ctx.p, lo, hi)
 

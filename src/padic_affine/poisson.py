@@ -339,29 +339,28 @@ def sample_config(
 # -- exact expectations -----------------------------------------------------
 
 
-def _hull(ctx, *sets) -> ClopenSet:
-    """The smallest B(0; R), R >= 0, holding every nonempty set given;
-    empty when all are."""
-    r = 0
-    empty = True
-    for s in sets:
-        if s is not None and not s.is_empty:
-            r = max(r, s.enclosing_zero_exp())
-            empty = False
-    if empty:
-        return ClopenSet.empty(ctx)
-    return ClopenSet.of(ctx, [Ball(ctx, r, ())])
+def window_cells(mu: IntensityMeasure, fns: list) -> list:
+    """refine_window cells of the listed step functions and clopen sets and
+    then mu's density, over the smallest B(0; R), R >= 0, holding all their
+    parts; no cells when every one of them is constant.
 
-
-def laplace_exponent(f: StepFunction, mu: IntensityMeasure) -> float:
-    """The integral of (e^f - 1) rho dm; rational coefficients exact, one
-    float exponential per constant piece."""
-    hull = _hull(
-        f.ctx, f.deviation_support(), mu.density.deviation_support()
+    Outside that ball each function equals its tail and the density is 1,
+    so every Poisson expectation here integrates over these cells alone."""
+    fns = [*fns, mu.density]
+    r = max(
+        fn.enclosing_exp(-math.inf)
+        if isinstance(fn, StepFunction)
+        else fn.enclosing_zero_exp(-math.inf)
+        for fn in fns
     )
-    if hull.is_empty:
-        return 0.0
-    cells = refine_window(hull, [f, mu.density])
+    if r == -math.inf:
+        return []
+    return refine_window(ClopenSet(mu.ctx, (Ball(mu.ctx, max(r, 0), ()),)), fns)
+
+
+def laplace_sum(cells: list) -> float:
+    """The integral of (e^f - 1) rho dm over (cell, (f, rho)) cells; one
+    float exponential per cell."""
     try:
         return math.fsum(
             math.expm1(fv) * float(rv * cell.measure) for cell, (fv, rv) in cells
@@ -373,24 +372,19 @@ def laplace_exponent(f: StepFunction, mu: IntensityMeasure) -> float:
         ) from exc
 
 
+def laplace_exponent(f: StepFunction, mu: IntensityMeasure) -> float:
+    """The integral of (e^f - 1) rho dm; rational coefficients exact, one
+    float exponential per constant piece."""
+    return laplace_sum(window_cells(mu, [f]))
+
+
 def _moment1(f: StepFunction, mu: IntensityMeasure) -> Fraction:
-    hull = _hull(f.ctx, f.deviation_support(), mu.density.deviation_support())
-    if hull.is_empty:
-        return Fraction(0)
-    cells = refine_window(hull, [f, mu.density])
+    cells = window_cells(mu, [f])
     return sum((fv * rv * cell.measure for cell, (fv, rv) in cells), Fraction(0))
 
 
 def _cross_moment(f1, f2, mu) -> Fraction:
-    hull = _hull(
-        f1.ctx,
-        f1.deviation_support(),
-        f2.deviation_support(),
-        mu.density.deviation_support(),
-    )
-    if hull.is_empty:
-        return Fraction(0)
-    cells = refine_window(hull, [f1, f2, mu.density])
+    cells = window_cells(mu, [f1, f2])
     return sum(
         (v1 * v2 * rv * cell.measure for cell, (v1, v2, rv) in cells),
         Fraction(0),
@@ -456,18 +450,18 @@ def _chunk_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def mc_atoms(mu: IntensityMeasure, window: ClopenSet, fns: list) -> list:
-    """Sampling atoms (cell, rate, values) for count-based estimators.
+def mc_atoms(mu: IntensityMeasure, fns: list) -> list:
+    """Sampling atoms (cell, rate, values) for count-based estimators, over
+    the cells of window_cells.
 
     Every listed function is constant per cell, so any descriptor value is a
     function of the per-cell counts alone; estimating from counts is
     distribution-exact, not an approximation.
     """
-    cells = refine_window(window, [mu.density] + fns)
     atoms = [
-        (cell, values[0] * cell.measure, values[1:])
-        for cell, values in cells
-        if values[0] > 0
+        (cell, values[-1] * cell.measure, values[:-1])
+        for cell, values in window_cells(mu, fns)
+        if values[-1] > 0
     ]
     _check_total(sum((rate for _, rate, _ in atoms), Fraction(0)))
     return [(cell, float(rate), values) for cell, rate, values in atoms]
@@ -555,11 +549,10 @@ def _descriptor_fns(f: CylinderFunction) -> list:
 
 def product_evaluator(mu: IntensityMeasure, fs: list):
     """(atoms, evaluator) for Monte Carlo of the product of the descriptors
-    fs under pi_mu: mc_atoms on the hull of their windows and the density's
-    support, and the product of their count evaluators."""
-    window = _hull(mu.ctx, *(f.window() for f in fs), mu.density.deviation_support())
+    fs under pi_mu: mc_atoms of their functions and the product of their
+    count evaluators."""
     groups = [_descriptor_fns(f) for f in fs]
-    atoms = mc_atoms(mu, window, [fn for fns in groups for fn in fns])
+    atoms = mc_atoms(mu, [fn for fns in groups for fn in fns])
     evs = []
     offset = 0
     for f, fns in zip(fs, groups):

@@ -15,21 +15,20 @@ from fractions import Fraction
 
 from .affine import AffineElement
 from .errors import ContractViolation, UnsupportedShape, WindowMismatch
-from .measure import IntensityMeasure, pushforward, roundtrip_defect
+from .measure import IntensityMeasure, pushforward
 from .padic import Ball, ClopenSet
 from .poisson import (
     Configuration,
     CountEvent,
     CylinderFunction,
     Exponential,
-    _descriptor_fns,
-    _hull,
     exp_checked,
     laplace_exponent,
+    laplace_sum,
     mc_atoms,
     mc_run,
     product_evaluator,
-    refine_window,
+    window_cells,
 )
 from .poisson import expect_exact as poisson_expect_exact
 from .stepfn import StepFunction
@@ -177,12 +176,10 @@ def rn_density(g: AffineElement, gamma: Configuration) -> float:
 def check_rn_identity(g: AffineElement, f: StepFunction) -> CheckReport:
     """Closed-form comparison of E_m[R(g,·) e^{<f,·>}] with E_{g*m}[e^{<f,·>}]."""
     mu = pushforward(IntensityMeasure.haar(g.ctx), g)
-    rho = mu.density
-    # first: on the same cells it raises the typed error for an f whose
-    # exponential overflows a float
-    rhs_exp = laplace_exponent(f, mu)
-    hull = _hull(g.ctx, f.deviation_support(), rho.deviation_support())
-    cells = refine_window(hull, [f, rho])
+    cells = window_cells(mu, [f])
+    # first: it raises the typed error for an f whose exponential overflows
+    # a float
+    rhs_exp = laplace_sum(cells)
     # E_m[R e^{<f>}] = exp(int (rho e^f - 1) dm), tail contributes 0
     lhs_exp = math.fsum(
         (float(rv) * math.exp(fv) - 1.0) * float(cell.measure)
@@ -196,13 +193,11 @@ def check_rn_identity_mc(
 ) -> CheckReport:
     """Monte Carlo replica: rn_density as an importance weight under pi_m."""
     mu = pushforward(IntensityMeasure.haar(g.ctx), g)
-    rho = mu.density
     haar = IntensityMeasure.haar(g.ctx)
     # the target first: past a float's range the check is refused before
     # any sampling
     target = exp_checked(laplace_exponent(f, mu))
-    window = _hull(g.ctx, f.deviation_support(), rho.deviation_support())
-    atoms = mc_atoms(haar, window, [rho, f])
+    atoms = mc_atoms(haar, [mu.density, f])
     mean, se = mc_run(atoms, _importance_evaluator(atoms, 1.0), samples, seed)
     return _mc_report("rn-identity-mc", mean, se, target, seed, samples)
 
@@ -253,7 +248,8 @@ def check_isometry(g: AffineElement, f: StepFunction) -> CheckReport:
     lhs = laplace_exponent(two_f, nu)
     rhs = laplace_exponent(two_f, haar)
     note = None
-    if roundtrip_defect(g) != 0:
+    # canonical densities are equal exactly when roundtrip_defect(g) == 0
+    if nu != haar:
         note = "pushforward round trip does not restore Haar"
     return _exp_report(
         "isometry", lhs, rhs, audit=True, note=note,
@@ -270,12 +266,7 @@ def check_isometry_mc(
     back = pushforward(haar, g.inverse())
     nu = pushforward(back, g)
     target = exp_checked(laplace_exponent(f.map_values(lambda v: 2 * v), nu))
-    rho_inv = back.density
-    gf = g.act_function(f)
-    window = _hull(
-        g.ctx, gf.deviation_support(), rho_inv.deviation_support()
-    )
-    atoms = mc_atoms(haar, window, [rho_inv, gf])
+    atoms = mc_atoms(haar, [back.density, g.act_function(f)])
     mean, se = mc_run(atoms, _importance_evaluator(atoms, 2.0), samples, seed)
     return _mc_report(
         "isometry-mc", mean, se, target, seed, samples, audit=True
@@ -289,11 +280,7 @@ def find_decoupler(l1: ClopenSet, l2: ClopenSet) -> AffineElement:
     """A localized translation g = (1, h·1_B) moving L2 off L1 inside a
     strictly larger zero-centered ball, with Haar preserved exactly."""
     ctx = l1.ctx
-    m = 0
-    for s in (l1, l2):
-        if not s.is_empty:
-            m = max(m, s.enclosing_zero_exp())
-    shell = m + 1
+    shell = max(0, l1.enclosing_zero_exp(), l2.enclosing_zero_exp()) + 1
     ball = Ball(ctx, shell, ())
     p = ctx.p
     h = Fraction(1, p**shell) if shell >= 0 else Fraction(p**-shell)
@@ -370,10 +357,8 @@ def check_invariance(f: CylinderFunction, g: AffineElement) -> CheckReport:
         return _exact_report("invariance", lhs, rhs)
     literal = window.intersect(bset.translate(h)).is_empty
     if literal:
-        degenerate = all(
-            s.is_empty
-            for s in _moved_supports(moved)
-        )
+        # the window is the union of the supports
+        degenerate = moved.window().is_empty
         note = (
             "literal contract: transformed supports are empty"
             if degenerate
@@ -383,14 +368,6 @@ def check_invariance(f: CylinderFunction, g: AffineElement) -> CheckReport:
     raise ContractViolation(
         "shift does not satisfy the repaired or the literal geometry"
     )
-
-
-def _moved_supports(f: CylinderFunction) -> list:
-    if isinstance(f, Exponential):
-        return [f.f.deviation_support()]
-    if isinstance(f, CountEvent):
-        return [s for s, _, _ in f.conditions]
-    return [fn.deviation_support() for fn in _descriptor_fns(f)]
 
 
 def check_ergodic_inequality(
