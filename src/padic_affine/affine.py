@@ -18,7 +18,6 @@ from .padic import (
     ClopenSet,
     Padic,
     PadicContext,
-    carve,
     fraction_valuation,
 )
 from .stepfn import PADIC, StepFunction, refine_window
@@ -161,7 +160,10 @@ class AffineElement:
             if rel == DISJOINT:
                 parts.append((c_j, v_j))
             elif rel == SECOND_INSIDE_FIRST:
-                parts.extend((b, v_j) for b in carve(c_j, [hull]))
+                rest = ClopenSet(self.ctx, (c_j,)).subtract(
+                    ClopenSet(self.ctx, (hull,))
+                )
+                parts.extend((b, v_j) for b in rest.balls)
         return StepFunction._build(self.ctx, f.kind, parts, f.tail)
 
     def preimage_clopen(self, s: ClopenSet) -> ClopenSet:

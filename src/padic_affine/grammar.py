@@ -148,7 +148,9 @@ class Parser:
         clash = first_overlap(balls)
         if clash is not None:
             i, j = clash
-            self._error(f"balls {_ball(balls[i])} and {_ball(balls[j])} overlap")
+            self._error(
+                f"balls {format_ball(balls[i])} and {format_ball(balls[j])} overlap"
+            )
         return ClopenSet.of(self.ctx, balls)
 
     def step(self, kind: str = REAL) -> StepFunction:
@@ -326,20 +328,16 @@ def format_rational(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _ball(b: Ball) -> str:
+def format_ball(b: Ball) -> str:
     return f"B({format_rational(b.center.frac)};{b.radius_exp})"
 
 
-def format_ball(b: Ball) -> str:
-    return _ball(b)
-
-
 def format_clopen(s: ClopenSet) -> str:
-    return "{" + ", ".join(_ball(b) for b in s.balls) + "}"
+    return "{" + ", ".join(format_ball(b) for b in s.balls) + "}"
 
 
 def format_step(f: StepFunction) -> str:
-    body = ", ".join(f"{_ball(b)}: {format_rational(v)}" for b, v in f.parts)
+    body = ", ".join(f"{format_ball(b)}: {format_rational(v)}" for b, v in f.parts)
     sep = " " if body else ""
     return "{" + body + sep + "| tail " + format_rational(f.tail) + "}"
 

@@ -441,11 +441,28 @@ def _descend(ball, values, cuts, out):
             out.append((child, tuple(vals)))
 
 
-def carve(ball: Ball, holes: list) -> list:
-    """`ball` minus the disjoint balls `holes` strictly inside it, as
-    disjoint balls with no complete sibling family."""
-    cells = split_cells(ball, [(h, 0, True) for h in holes], (False,))
-    return [cell for cell, (hole,) in cells if not hole]
+def split_union(entries, values: tuple) -> list:
+    """Partition of the union of the balls of (ball, slot, value) entries
+    into (cell, values) pairs. A cell carries, for each slot, the value of
+    the smallest entry of that slot around it, else values[slot]; balls may
+    nest and repeat, within a slot and across slots.
+
+    One split_cells descent per root, an entry that lies inside no other."""
+    at = {}
+    for entry in entries:
+        at.setdefault(entry[0], []).append(entry)
+    index = BallIndex(at.items())
+    trees = {}
+    for ball in at:
+        trees.setdefault(index.around(ball)[-1][0], []).append(ball)
+    cells = []
+    for root, members in trees.items():
+        top = list(values)
+        for _, slot, value in at[root]:
+            top[slot] = value
+        cuts = [entry for ball in members if ball is not root for entry in at[ball]]
+        cells.extend(split_cells(root, cuts, tuple(top)))
+    return cells
 
 
 def merge_siblings(ctx: PadicContext, parts: list) -> tuple:
@@ -536,24 +553,21 @@ class ClopenSet:
         return ClopenSet.of(self.ctx, self.balls + other.balls)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        self._check(other)
-        index = BallIndex((b, None) for b in other.balls)
-        out = []
-        for a in self.balls:
-            if index.covering(a) is not None:
-                out.append(a)
-            else:
-                out.extend(b for b, _ in index.inside(a))
-        return ClopenSet.of(self.ctx, out)
+        return self._keep(other, True)
 
     def subtract(self, other: "ClopenSet") -> "ClopenSet":
+        return self._keep(other, False)
+
+    def _keep(self, other: "ClopenSet", in_other: bool) -> "ClopenSet":
+        # the cells of the union that lie in self, and in other or not
         self._check(other)
-        index = BallIndex((b, None) for b in other.balls)
-        pieces = []
-        for a in self.balls:
-            if index.covering(a) is None:
-                pieces.extend(carve(a, [b for b, _ in index.inside(a)]))
-        return ClopenSet.of(self.ctx, pieces)
+        entries = [(b, 0, True) for b in self.balls]
+        entries.extend((b, 1, True) for b in other.balls)
+        cells = split_union(entries, (False, False))
+        return ClopenSet.of(
+            self.ctx,
+            [cell for cell, (a, b) in cells if a and b == in_other],
+        )
 
     def translate(self, h: Fraction) -> "ClopenSet":
         return ClopenSet.of(self.ctx, [b.translate(h) for b in self.balls])

@@ -23,7 +23,7 @@ from .errors import (
     WindowMismatch,
 )
 from .measure import IntensityMeasure
-from .padic import Ball, ClopenSet, Padic
+from .padic import Ball, ClopenSet, Padic, first_overlap
 from .stepfn import REAL, StepFunction, refine_window
 
 
@@ -90,6 +90,8 @@ class Polynomial(CylinderFunction):
     factors: tuple  # of (StepFunction, positive int)
 
     def __post_init__(self):
+        if not self.factors:
+            raise PadicAffineError("a polynomial needs at least one factor")
         for f, e in self.factors:
             if f.kind != REAL or f.tail != 0:
                 raise PadicAffineError("polynomial factors need real f, tail 0")
@@ -127,6 +129,8 @@ class CountEvent(CylinderFunction):
     conditions: tuple  # of (ClopenSet, op, int)
 
     def __post_init__(self):
+        if not self.conditions:
+            raise PadicAffineError("a count event needs at least one condition")
         for _, op, k in self.conditions:
             if op not in (EQ, LE, GE) or k < 0:
                 raise PadicAffineError(f"bad count condition {op!r} {k}")
@@ -138,12 +142,9 @@ class CountEvent(CylinderFunction):
         return out
 
     def sets_disjoint(self) -> bool:
-        sets = [s for s, _, _ in self.conditions]
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if not sets[i].intersect(sets[j]).is_empty:
-                    return False
-        return True
+        # each set is canonical, so only balls of two sets can overlap
+        balls = [b for s, _, _ in self.conditions for b in s.balls]
+        return first_overlap(balls) is None
 
     def transform(self, g: AffineElement) -> "CountEvent":
         return CountEvent(

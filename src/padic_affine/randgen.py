@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .affine import AffineElement
-from .padic import Ball, ClopenSet, Padic, PadicContext
+from .padic import Ball, ClopenSet, Padic, PadicContext, fraction_valuation
 from .stepfn import PADIC, REAL, StepFunction
 
 
@@ -103,8 +103,6 @@ def random_measure_preserving(
     close enough to 1 that the center does not move out: for a ball B(c;k)
     the image of B under x -> (x+h)/a is B again once |h|_p <= p^k and
     |c|_p |1-a|_p <= p^k."""
-    from .padic import fraction_valuation
-
     balls = random_disjoint_balls(ctx, rng, rng.randint(1, max_parts))
     a_parts = []
     b_parts = []

@@ -23,10 +23,10 @@ from .padic import (
     BallIndex,
     ClopenSet,
     Padic,
-    carve,
     first_overlap,
     merge_siblings,
     split_cells,
+    split_union,
 )
 
 PADIC = "padic"
@@ -86,16 +86,11 @@ class StepFunction:
         index = BallIndex(totals.items())
         # the value on a cell is that of the smallest entry around it: its
         # own total plus the totals of every entry around that one
-        level = {b: sum((v for _, v in index.around(b)), tail) for b in totals}
-        parts = []
-        for root in totals:
-            if index.covering(root.parent()) is not None:
-                continue
-            cuts = [(b, 0, level[b]) for b, _ in index.inside(root)]
-            parts.extend(
-                (cell, v) for cell, (v,) in split_cells(root, cuts, (level[root],))
-            )
-        return cls._build(ctx, kind, parts, tail)
+        cells = split_union(
+            [(b, 0, sum((v for _, v in index.around(b)), tail)) for b in totals],
+            (tail,),
+        )
+        return cls._build(ctx, kind, [(cell, v) for cell, (v,) in cells], tail)
 
     @classmethod
     def constant(cls, ctx, kind, value) -> "StepFunction":
@@ -180,66 +175,25 @@ class StepFunction:
             fn = operator.mul
         else:
             raise ValueError(f"unknown op {op!r}")
-        # combining with the other operand's tail is often the identity
-        # (add 0 / multiply by 1); skip the exact-arithmetic call then
-        def against(tail):
-            if op == "add" and tail == 0:
-                return None
-            if op == "mul" and tail == 1:
-                return None
-            return lambda v: fn(v, tail)
-
-        right_tail_fn = against(other.tail)
-        left_tail_fn = against(self.tail)
-        # constant operands short-circuit to a value map
-        if not other.parts:
-            if right_tail_fn is None:
-                return self
-            return StepFunction._build(
-                self.ctx, self.kind,
-                [(b, right_tail_fn(v)) for b, v in self.parts],
-                right_tail_fn(self.tail),
-            )
-        if not self.parts:
-            if left_tail_fn is None:
-                return other
-            return StepFunction._build(
-                self.ctx, self.kind,
-                [(b, left_tail_fn(v)) for b, v in other.parts],
-                left_tail_fn(other.tail),
-            )
-        # work locally on the deviation parts: each part meets the other
-        # function's part around it, or the parts inside it and, on the
-        # uncovered remainder, the other function's tail
-        parts = []
-        right = BallIndex(
-            (b2, v2, j) for j, (b2, v2) in enumerate(other.parts)
-        )
-        right_covered = [False] * len(other.parts)
-        right_inner = [[] for _ in other.parts]
-        for b1, v1 in self.parts:
-            hit = right.covering(b1)
-            if hit is not None:
-                b2, v2, j = hit
-                parts.append((b1, fn(v1, v2)))
-                if b1 == b2:
-                    right_covered[j] = True
-                else:
-                    right_inner[j].append(b1)
-                continue
-            inner = right.inside(b1)
-            for b2, v2, j in inner:
-                parts.append((b2, fn(v1, v2)))
-                right_covered[j] = True
-            w = v1 if right_tail_fn is None else right_tail_fn(v1)
-            parts.extend((b, w) for b in carve(b1, [b2 for b2, _, _ in inner]))
-        for j, (b2, v2) in enumerate(other.parts):
-            if right_covered[j]:
-                continue
-            w = v2 if left_tail_fn is None else left_tail_fn(v2)
-            parts.extend((b, w) for b in carve(b2, right_inner[j]))
+        # a constant operand equal to the identity of op changes nothing
+        unit = 0 if op == "add" else 1
+        if not other.parts and other.tail == unit:
+            return self
+        if not self.parts and self.tail == unit:
+            return other
+        entries = [(b, 0, v) for b, v in self.parts]
+        entries.extend((b, 1, v) for b, v in other.parts)
+        cells = split_union(entries, (self.tail, other.tail))
+        # on most cells one operand holds its tail, often the identity of op;
+        # comparing with it is cheaper than an exact Fraction operation
         return StepFunction._build(
-            self.ctx, self.kind, parts, fn(self.tail, other.tail)
+            self.ctx,
+            self.kind,
+            [
+                (cell, v1 if v2 == unit else v2 if v1 == unit else fn(v1, v2))
+                for cell, (v1, v2) in cells
+            ],
+            fn(self.tail, other.tail),
         )
 
     def __add__(self, other):
@@ -256,27 +210,12 @@ class StepFunction:
 
     # -- integration --------------------------------------------------------
 
-    def _clipped_measures(self, s: ClopenSet) -> list:
-        """(value, m(part ball ∩ S)) for each part, plus the residual tail mass."""
-        out = []
-        covered = Fraction(0)
-        index = BallIndex((b, None) for b in s.balls)
-        for b, v in self.parts:
-            if index.covering(b) is not None:
-                m = b.measure
-            else:
-                m = sum((c.measure for c, _ in index.inside(b)), Fraction(0))
-            if m:
-                out.append((v, m))
-            covered += m
-        out.append((self.tail, s.measure - covered))
-        return out
-
     def integrate(self, s: ClopenSet) -> Fraction:
         """Exact Haar integral over the bounded clopen set S."""
         if self.kind != REAL:
             raise KindMismatch("integrate requires a real-valued function")
-        return sum((v * m for v, m in self._clipped_measures(s)), Fraction(0))
+        cells = refine_window(s, [self])
+        return sum((v * cell.measure for cell, (v,) in cells), Fraction(0))
 
     def integrate_transform(self, s: ClopenSet, transform: str):
         """Integral of t(F) over S for a named transform t.
@@ -286,7 +225,7 @@ class StepFunction:
         """
         if self.kind != REAL:
             raise KindMismatch("integrate requires a real-valued function")
-        pieces = self._clipped_measures(s)
+        pieces = [(v, cell.measure) for cell, (v,) in refine_window(s, [self])]
         if transform == "abs_dev":
             return sum((abs(v - 1) * m for v, m in pieces), Fraction(0))
         if transform == "one_minus":

@@ -27,6 +27,7 @@ from .randgen import (
     random_measure_preserving,
     random_point,
     random_test_function,
+    random_unit,
 )
 from .representation import (
     EXACT,
@@ -46,7 +47,7 @@ from .representation import (
     decoupler_postconditions,
     find_decoupler,
 )
-from .stepfn import REAL, StepFunction
+from .stepfn import PADIC, REAL, StepFunction
 
 
 def _count_report(name, failures, trials, audit=False, note=None) -> CheckReport:
@@ -135,34 +136,28 @@ def worked_density_report(ctx) -> CheckReport:
     return _count_report("worked-density", 0 if ok else 1, 1)
 
 
-def laplace_trials(ctx, rng, trials) -> CheckReport:
+def _exact_trials(name, check, ctx, rng, trials) -> CheckReport:
+    """check(g, f) on random (g, f): the failures, and the worst defect."""
     worst = 0.0
     failures = 0
     for _ in range(trials):
         g = random_element(ctx, rng)
         f = random_test_function(ctx, rng)
-        r = check_laplace(g, f)
+        r = check(g, f)
         worst = max(worst, r.defect)
         if not r.passed:
             failures += 1
-    out = _count_report("laplace-duality", failures, trials)
+    out = _count_report(name, failures, trials)
     out.defect = worst
     return out
+
+
+def laplace_trials(ctx, rng, trials) -> CheckReport:
+    return _exact_trials("laplace-duality", check_laplace, ctx, rng, trials)
 
 
 def rn_trials(ctx, rng, trials) -> CheckReport:
-    worst = 0.0
-    failures = 0
-    for _ in range(trials):
-        g = random_element(ctx, rng)
-        f = random_test_function(ctx, rng)
-        r = check_rn_identity(g, f)
-        worst = max(worst, r.defect)
-        if not r.passed:
-            failures += 1
-    out = _count_report("rn-identity", failures, trials)
-    out.defect = worst
-    return out
+    return _exact_trials("rn-identity", check_rn_identity, ctx, rng, trials)
 
 
 def isometry_reports(ctx, rng, trials) -> list:
@@ -254,15 +249,11 @@ def composition_reports(ctx, rng, trials) -> list:
 
 
 def random_in_ball_shift(ctx, rng, ball) -> Fraction:
-    from .randgen import random_unit
-
     t = random_unit(ctx, rng, span=4) * Fraction(ctx.p) ** rng.randint(0, 2)
     return t * Fraction(ctx.p) ** (-ball.radius_exp)
 
 
 def support_shift_trials(ctx, rng, trials) -> CheckReport:
-    from .stepfn import PADIC
-
     failures = 0
     for _ in range(trials):
         ball = Ball(ctx, rng.randint(0, 2), ())

@@ -54,3 +54,16 @@ def test_no_private_name_imported(path):
         if name.rsplit(".", 1)[-1].startswith("_")
     ]
     assert not private
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_imports_at_module_level(path):
+    """A function-local import hides a module's dependencies from its head."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = set(map(id, tree.body))
+    nested = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+    assert not nested
