@@ -147,7 +147,7 @@ class Padic:
         return self.frac == other
 
     def __hash__(self):
-        return hash((self.ctx.p, self.frac))
+        return hash((self.ctx.p, *self.frac.as_integer_ratio()))
 
     def __repr__(self):
         return f"Padic({self.frac!r}, p={self.ctx.p})"
@@ -177,13 +177,14 @@ class Ball:
     equality, nesting and hashing drift-free.
     """
 
-    __slots__ = ("ctx", "radius_exp", "key", "_center")
+    __slots__ = ("ctx", "radius_exp", "key", "_center", "_ints")
 
     def __init__(self, ctx: PadicContext, radius_exp: int, key: tuple):
         self.ctx = ctx
         self.radius_exp = radius_exp
         self.key = key  # sorted tuple of (position, digit), digit != 0
         self._center = None
+        self._ints = None
 
     @classmethod
     def from_center(cls, center: Padic, radius_exp: int) -> "Ball":
@@ -197,13 +198,18 @@ class Ball:
     @property
     def center(self) -> Padic:
         if self._center is None:
-            p = self.ctx.p
-            total = sum(
-                (Fraction(d) * Fraction(p) ** i for i, d in self.key),
-                Fraction(0),
-            )
-            self._center = Padic(self.ctx, total)
+            cn, cd, _, _ = self._frame()
+            self._center = Padic(self.ctx, Fraction(cn, cd))
         return self._center
+
+    def _frame(self) -> tuple:
+        # (cn, cd, up, down): the center is cn/cd and p^k = up/down
+        if self._ints is None:
+            p, k, key = self.ctx.p, self.radius_exp, self.key
+            e = max(0, -key[0][0]) if key else 0  # digits start at -e
+            cn = sum(d * p ** (i + e) for i, d in key)
+            self._ints = (cn, p**e, p ** max(k, 0), p ** max(-k, 0))
+        return self._ints
 
     @property
     def measure(self) -> Fraction:
@@ -228,7 +234,14 @@ class Ball:
         return (self.radius_exp, self.key)
 
     def contains(self, x: Padic) -> bool:
-        return (x - self.center).valuation() >= -self.radius_exp
+        # x in B(c; k) iff the reduced denominator of p^k (x - c) is prime to p
+        p = self.ctx.p
+        if x.ctx.p != p:
+            raise ContextMismatch(f"mixing Q_{x.ctx.p} with Q_{p}")
+        cn, cd, up, down = self._frame()
+        yn, yd = x.frac.as_integer_ratio()
+        den = down * yd * cd
+        return den // math.gcd(up * (yn * cd - cn * yd), den) % p != 0
 
     def truncate_key(self, radius_exp: int) -> tuple:
         # key of the ball of the given larger radius containing this one: a
@@ -295,10 +308,12 @@ class Ball:
         """
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        p, k = self.ctx.p, self.radius_exp
-        n = rng.randrange(p**depth)
-        offset = Fraction(n, p**k) if k >= 0 else Fraction(n * p**-k)
-        return Padic(self.ctx, self.center.frac + offset)
+        return self.point(rng.randrange(self.ctx.p**depth))
+
+    def point(self, m: int) -> Padic:
+        """The point c + m·p^(-k) of B(c; k), for an integer m >= 0."""
+        cn, cd, up, down = self._frame()
+        return Padic(self.ctx, Fraction(cn * up + m * down * cd, cd * up))
 
 
 def _slots(ball: Ball, radii: list):
@@ -441,17 +456,18 @@ def _descend(ball, values, cuts, out):
             out.append((child, tuple(vals)))
 
 
-def split_union(entries, values: tuple) -> list:
+def split_union(entries, values: tuple, index: BallIndex = None) -> list:
     """Partition of the union of the balls of (ball, slot, value) entries
     into (cell, values) pairs. A cell carries, for each slot, the value of
     the smallest entry of that slot around it, else values[slot]; balls may
     nest and repeat, within a slot and across slots.
 
-    One split_cells descent per root, an entry that lies inside no other."""
+    One split_cells descent per root, an entry that lies inside no other;
+    an index passed in must hold exactly the entries' distinct balls."""
     at = {}
     for entry in entries:
         at.setdefault(entry[0], []).append(entry)
-    index = BallIndex(at.items())
+    index = index or BallIndex(at.items())
     trees = {}
     for ball in at:
         trees.setdefault(index.around(ball)[-1][0], []).append(ball)
@@ -564,10 +580,8 @@ class ClopenSet:
         entries = [(b, 0, True) for b in self.balls]
         entries.extend((b, 1, True) for b in other.balls)
         cells = split_union(entries, (False, False))
-        return ClopenSet.of(
-            self.ctx,
-            [cell for cell, (a, b) in cells if a and b == in_other],
-        )
+        kept = [(cell, None) for cell, (a, b) in cells if a and b == in_other]
+        return ClopenSet(self.ctx, tuple(b for b, _ in merge_siblings(self.ctx, kept)))
 
     def translate(self, h: Fraction) -> "ClopenSet":
         return ClopenSet.of(self.ctx, [b.translate(h) for b in self.balls])

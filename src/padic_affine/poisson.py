@@ -23,7 +23,7 @@ from .errors import (
     WindowMismatch,
 )
 from .measure import IntensityMeasure
-from .padic import Ball, ClopenSet, Padic, first_overlap
+from .padic import Ball, ClopenSet, first_overlap
 from .stepfn import REAL, StepFunction, refine_window
 
 
@@ -310,31 +310,31 @@ def sample_config(
 
     Atom rates are exact rationals; the atom choice compares the uniform
     draw against exact cumulative weights. The prepared draw is kept on mu
-    for the next call with an equal window. Duplicate points (possible only
-    through finite depth) are resampled.
+    for the next call with an equal window. Points are keyed (atom, m) for
+    atom.point(m); duplicates (possible only through finite depth) are resampled.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     draw = mu.prepared
     if draw is None or draw.window != window:
         draw = mu.prepared = PreparedDraw(mu, window)
     if draw.variate is None:
         return Configuration((), window)
+    p = mu.ctx.p
     n = draw.variate.draw(rng.random)
-    points = []
-    seen = set()
+    drawn = {}  # (atom, m) in draw order
     for _ in range(n):
-        chosen = draw.atom(rng.random())
+        atom = draw.atom(rng.random())
+        m = rng.randrange(p**depth)
         # a collision means the two continuum points share their first
         # digits; append digits within the collided residue until distinct,
         # which leaves every coarser count untouched
-        x = chosen.sample(depth, rng)
         digit_pos = depth
-        while x in seen:
-            step = Fraction(rng.randrange(mu.ctx.p) * mu.ctx.p**digit_pos)
-            x = x + Padic(mu.ctx, step / chosen.measure)
+        while (atom, m) in drawn:
+            m += rng.randrange(p) * p**digit_pos
             digit_pos += 1
-        seen.add(x)
-        points.append(x)
-    return Configuration(tuple(points), window)
+        drawn[atom, m] = None
+    return Configuration(tuple(atom.point(m) for atom, m in drawn), window)
 
 
 # -- exact expectations -----------------------------------------------------

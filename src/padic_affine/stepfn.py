@@ -89,6 +89,7 @@ class StepFunction:
         cells = split_union(
             [(b, 0, sum((v for _, v in index.around(b)), tail)) for b in totals],
             (tail,),
+            index,
         )
         return cls._build(ctx, kind, [(cell, v) for cell, (v,) in cells], tail)
 
