@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -65,8 +66,10 @@ class RunConfig:
             )
         if self.depth_margin < 0:
             raise PadicAffineError("depth margin must be nonnegative")
-        if self.tolerance <= 0:
-            raise PadicAffineError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise PadicAffineError(
+                f"tolerance must be positive and finite, got {self.tolerance!r}"
+            )
         self.ctx = PadicContext(self.p)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -297,10 +298,14 @@ class PreparedDraw:
         self.weights = weights
         self.variate = PoissonVariate(float(total)) if atoms else None
 
-    def atom(self, u: float) -> Ball:
+    def pick(self, u: float) -> int:
+        """Index of the atom that an exact cumulative scan picks for u."""
         num, den = u.as_integer_ratio()
         weights = self.weights
-        return self.balls[bisect_right(weights, num * weights[-1] // den)]
+        return bisect_right(weights, num * weights[-1] // den)
+
+    def atom(self, u: float) -> Ball:
+        return self.balls[self.pick(u)]
 
 
 def sample_config(
@@ -310,8 +315,9 @@ def sample_config(
 
     Atom rates are exact rationals; the atom choice compares the uniform
     draw against exact cumulative weights. The prepared draw is kept on mu
-    for the next call with an equal window. Points are keyed (atom, m) for
-    atom.point(m); duplicates (possible only through finite depth) are resampled.
+    for the next call with an equal window. Points are keyed (atom index, m)
+    for atom.point(m); duplicates (possible only through finite depth) are
+    resampled.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -322,9 +328,9 @@ def sample_config(
         return Configuration((), window)
     p = mu.ctx.p
     n = draw.variate.draw(rng.random)
-    drawn = {}  # (atom, m) in draw order
+    drawn = {}  # (atom index, m) in draw order
     for _ in range(n):
-        atom = draw.atom(rng.random())
+        atom = draw.pick(rng.random())
         m = rng.randrange(p**depth)
         # a collision means the two continuum points share their first
         # digits; append digits within the collided residue until distinct,
@@ -334,7 +340,8 @@ def sample_config(
             m += rng.randrange(p) * p**digit_pos
             digit_pos += 1
         drawn[atom, m] = None
-    return Configuration(tuple(atom.point(m) for atom, m in drawn), window)
+    balls = draw.balls
+    return Configuration(tuple(balls[i].point(m) for i, m in drawn), window)
 
 
 # -- exact expectations -----------------------------------------------------
@@ -445,6 +452,11 @@ def expect_exact(f: CylinderFunction, mu: IntensityMeasure) -> float:
 # -- Monte Carlo engine -----------------------------------------------------
 
 _CHUNK = 4096
+_BLOCK_BYTES = 1 << 14  # random bytes one mc_run block reads at most
+_BLOCK_DRAWS = 512  # draws one mc_run block holds at most
+_UNIT = float(1 << 53)  # random() returns X / 2^53 for an integer X
+_WORDS = struct.Struct("<II")  # two 32-bit outputs, as getrandbits lays them out
+_TOP_BYTE = (0xFF << 24).to_bytes(8, "little")  # a lane's top byte of u
 
 
 def _chunk_rng(seed: int, index: int) -> random.Random:
@@ -471,23 +483,79 @@ def mc_atoms(mu: IntensityMeasure, fns: list) -> list:
 def mc_run(atoms: list, eval_counts, n: int, seed: int):
     """Mean and standard error of eval_counts over n Poisson draws.
 
-    The stream is pre-split into fixed-size chunks merged in index order, so
-    the estimate is bit-identical for a given (seed, n) regardless of any
-    parallel scheduling.
+    eval_counts takes one draw's nonzero counts as (atom index, count) pairs
+    in atom order. The stream is pre-split into fixed-size chunks merged in
+    index order, so the estimate is bit-identical for a given (seed, n).
+
+    A draw reads one uniform per slot: one per atom, or one per piece of a
+    rate above SPLIT_RATE, in the order PoissonVariate.draw reads them. Each
+    block of draws reads its uniforms with one getrandbits call: random() is
+    (w0 >> 5, w1 >> 6) of two consecutive 32-bit outputs, which getrandbits
+    emits in the same order, least significant first, so each uniform is one
+    64-bit lane w0 | w1 << 32. A uniform whose top byte (bits 24-31 of w0)
+    is below T = floor(P(N = 0)·256) lies below P(N = 0), so its count is 0.
+    Adding (256 - T) << 24 to the masked top byte of every lane carries into
+    bit 32 exactly where the top byte is >= T, for all slots in one integer
+    sum; find walks those lanes, and only their uniforms are bisected, as
+    X = u·2^53 against the table entries floor(c·2^53). The work per draw is
+    about atoms/256 plus the points drawn, beside C passes over its bytes.
     """
-    draws = [PoissonVariate(rate).draw for _, rate, _ in atoms]
+    plan = []  # per slot: (atom index, pieces, integer table); None for later pieces
+    lift = bytearray()  # per slot: (256 - T) << 24 as one little-endian lane
+    for i, (_, rate, _) in enumerate(atoms):
+        variate = PoissonVariate(rate)
+        # a split rate has no zero shortcut: T = 0 marks its first piece in
+        # every draw, and T = 256 the rest in none
+        t = int(variate.zero * 256) if variate.pieces == 1 else 0
+        plan.append((i, variate.pieces, [int(c * _UNIT) for c in variate.table]))
+        plan.extend([None] * (variate.pieces - 1))
+        lift += ((256 - t) << 24).to_bytes(8, "little")
+        lift += bytes(8 * (variate.pieces - 1))
+    slots = len(plan)
+    width = 8 * slots  # random bytes per draw
+    rows = max(1, min(_BLOCK_DRAWS, _BLOCK_BYTES // max(width, 1)))
+    lanes = {}  # draws in a block -> (top-byte mask, lift) over the block
+    words = _WORDS.unpack_from
     total = 0.0
     total_sq = 0.0
     done = 0
     index = 0
     while done < n:
         take = min(_CHUNK, n - done)
-        uniform = _chunk_rng(seed, index).random
-        for _ in range(take):
-            counts = [draw(uniform) for draw in draws]
-            v = eval_counts(counts)
-            total += v
-            total_sq += v * v
+        rng = _chunk_rng(seed, index)
+        for start in range(0, take, rows):
+            block = min(rows, take - start)
+            if block not in lanes:
+                lanes[block] = (
+                    int.from_bytes(_TOP_BYTE * (slots * block), "little"),
+                    int.from_bytes(lift * block, "little"),
+                )
+            mask, bias = lanes[block]
+            nbytes = width * block
+            bits = rng.getrandbits(8 * nbytes)
+            raw = bits.to_bytes(nbytes, "little")
+            marked = ((bits & mask) + bias).to_bytes(nbytes, "little")[4::8]
+            nonzero = [[] for _ in range(block)]
+            q = marked.find(1)  # q = row · slots + slot
+            while q != -1:
+                r, slot = divmod(q, slots)
+                i, pieces, bounds = plan[slot]
+                size = len(bounds)
+                w0, w1 = words(raw, 8 * q)
+                k = bisect_left(bounds, (w0 >> 5) << 26 | w1 >> 6)
+                count = k if k < size else _TABLE_END + 1
+                if pieces > 1:  # a split rate sums the counts of its pieces
+                    for off in range(8 * q + 8, 8 * (q + pieces), 8):
+                        w0, w1 = words(raw, off)
+                        k = bisect_left(bounds, (w0 >> 5) << 26 | w1 >> 6)
+                        count += k if k < size else _TABLE_END + 1
+                if count:
+                    nonzero[r].append((i, count))
+                q = marked.find(1, q + 1)
+            for pairs in nonzero:
+                v = eval_counts(pairs)
+                total += v
+                total_sq += v * v
         done += take
         index += 1
     mean = total / n
@@ -497,13 +565,14 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
 
 
 def _counts_evaluator(f: CylinderFunction, atoms: list, offset: int = 0):
-    """Closure computing F(gamma) from per-atom counts; values[offset...]
-    hold this descriptor's per-cell data in mc_atoms order."""
+    """Closure computing F(gamma) from the nonzero counts, as mc_run passes
+    them: (atom index, count) pairs in atom order. values[offset...] hold
+    this descriptor's per-cell data in mc_atoms order."""
     if isinstance(f, Exponential):
         fvals = [float(vals[offset]) for _, _, vals in atoms]
 
-        def ev(counts):
-            return math.exp(sum(c * v for c, v in zip(counts, fvals)))
+        def ev(pairs):
+            return math.exp(sum(c * fvals[i] for i, c in pairs))
 
         return ev
     if isinstance(f, Polynomial):
@@ -513,10 +582,10 @@ def _counts_evaluator(f: CylinderFunction, atoms: list, offset: int = 0):
         ]
         powers = [e for _, e in f.factors]
 
-        def ev(counts):
+        def ev(pairs):
             out = 1.0
             for row, e in zip(table, powers):
-                out *= sum(c * v for c, v in zip(counts, row)) ** e
+                out *= sum(c * row[i] for i, c in pairs) ** e
             return out
 
         return ev
@@ -527,9 +596,9 @@ def _counts_evaluator(f: CylinderFunction, atoms: list, offset: int = 0):
         ]
         preds = [(op, k) for _, op, k in f.conditions]
 
-        def ev(counts):
+        def ev(pairs):
             for mask, (op, k) in zip(masks, preds):
-                total = sum(c for c, inside in zip(counts, mask) if inside)
+                total = sum(c for i, c in pairs if mask[i])
                 if not _holds(total, op, k):
                     return 0.0
             return 1.0
@@ -562,10 +631,10 @@ def product_evaluator(mu: IntensityMeasure, fs: list):
     if len(evs) == 1:
         return atoms, evs[0]
 
-    def product(counts):
+    def product(pairs):
         out = 1.0
         for ev in evs:
-            out *= ev(counts)
+            out *= ev(pairs)
         return out
 
     return atoms, product

@@ -111,18 +111,18 @@ def _exp_report(name, lhs, rhs, audit=False, note=None, compared="compared expon
 
 
 def _importance_evaluator(atoms, scale: float):
-    """Counts -> prod_i rho_i^{c_i} · exp(scale · sum_i c_i f_i) over atoms
-    whose values are (rho, f): an exponential under an importance weight."""
+    """Nonzero counts, as mc_run passes them, -> prod_i rho_i^{c_i} ·
+    exp(scale · sum_i c_i f_i) over atoms whose values are (rho, f): an
+    exponential under an importance weight."""
     rho_vals = [float(vals[0]) for _, _, vals in atoms]
     f_vals = [float(vals[1]) for _, _, vals in atoms]
 
-    def ev(counts):
+    def ev(pairs):
         w = 1.0
         s = 0.0
-        for c, rv, fv in zip(counts, rho_vals, f_vals):
-            if c:
-                w *= rv**c
-                s += scale * c * fv
+        for i, c in pairs:
+            w *= rho_vals[i] ** c
+            s += scale * c * f_vals[i]
         return w * math.exp(s)
 
     return ev

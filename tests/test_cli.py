@@ -206,6 +206,20 @@ class TestErrorsAndConfig:
         code, _, err = run(capsys, "pushforward", "--g", "@/does/not/exist")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_exit_2(self, capsys, value):
+        code, out, err = run(capsys, "--seed", "42", "--tolerance", value, "verify-all")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_non_finite_tolerance_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("PADIC_AFFINE_TOLERANCE", "nan")
+        code, out, err = run(capsys, "--seed", "42", "verify-all")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestAudit:
     def test_findings_do_not_fail(self, capsys):

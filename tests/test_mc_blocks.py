@@ -1,0 +1,352 @@
+"""Monte Carlo by blocks: mc_run reads each chunk's uniforms with getrandbits
+and bisects only the uniforms a top byte cannot settle as a zero count.
+
+The per-atom, per-draw loop it replaces is kept here as ref_mc_run, with
+the evaluators over every atom's count; every estimate must equal it bit
+for bit, on the same seeds.
+"""
+
+import math
+import random
+import struct
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from padic_affine import poisson, randgen, representation
+from padic_affine.measure import IntensityMeasure
+from padic_affine.padic import ClopenSet, PadicContext
+from padic_affine.poisson import (
+    _CHUNK,
+    _TABLE_END,
+    GE,
+    LE,
+    SPLIT_RATE,
+    CountEvent,
+    Exponential,
+    PoissonVariate,
+    Polynomial,
+    mc_atoms,
+    mc_run,
+    product_evaluator,
+)
+from padic_affine.stepfn import REAL, StepFunction
+
+PRIMES = [2, 3, 5]
+
+
+# -- references ----------------------------------------------------------------
+
+
+def ref_mc_run(atoms: list, eval_counts, n: int, seed: int):
+    """mc_run as one PoissonVariate.draw per atom per draw; eval_counts takes
+    the count of every atom."""
+    draws = [PoissonVariate(rate).draw for _, rate, _ in atoms]
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    index = 0
+    while done < n:
+        take = min(_CHUNK, n - done)
+        uniform = poisson._chunk_rng(seed, index).random
+        for _ in range(take):
+            counts = [draw(uniform) for draw in draws]
+            v = eval_counts(counts)
+            total += v
+            total_sq += v * v
+        done += take
+        index += 1
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0)
+    se = math.sqrt(var / n) if n > 1 else float("inf")
+    return mean, se
+
+
+def ref_counts_evaluator(f, atoms, offset=0):
+    """F(gamma) from the count of every atom, in mc_atoms order."""
+    if isinstance(f, Exponential):
+        fvals = [float(vals[offset]) for _, _, vals in atoms]
+        return lambda counts: math.exp(sum(c * v for c, v in zip(counts, fvals)))
+    if isinstance(f, Polynomial):
+        table = [
+            [float(vals[offset + j]) for _, _, vals in atoms]
+            for j in range(len(f.factors))
+        ]
+
+        def ev(counts):
+            out = 1.0
+            for row, (_, e) in zip(table, f.factors):
+                out *= sum(c * v for c, v in zip(counts, row)) ** e
+            return out
+
+        return ev
+    masks = [
+        [bool(vals[offset + j]) for _, _, vals in atoms]
+        for j in range(len(f.conditions))
+    ]
+
+    def ev(counts):
+        for mask, (_, op, k) in zip(masks, f.conditions):
+            total = sum(c for c, inside in zip(counts, mask) if inside)
+            if not poisson._holds(total, op, k):
+                return 0.0
+        return 1.0
+
+    return ev
+
+
+def ref_product(evs):
+    def product(counts):
+        out = 1.0
+        for ev in evs:
+            out *= ev(counts)
+        return out
+
+    return product
+
+
+def ref_importance_evaluator(atoms, scale):
+    rho_vals = [float(vals[0]) for _, _, vals in atoms]
+    f_vals = [float(vals[1]) for _, _, vals in atoms]
+
+    def ev(counts):
+        w = 1.0
+        s = 0.0
+        for c, rv, fv in zip(counts, rho_vals, f_vals):
+            if c:
+                w *= rv**c
+                s += scale * c * fv
+        return w * math.exp(s)
+
+    return ev
+
+
+# -- inputs --------------------------------------------------------------------
+
+RATES = {
+    "tiny": lambda rng: Fraction(1, rng.choice([300, 10**4, 10**7])),
+    "one": lambda rng: Fraction(1),
+    "mid": lambda rng: Fraction(rng.randint(1, 60), 8),
+    "split": lambda rng: Fraction(rng.randint(int(SPLIT_RATE) + 1, 2500)),
+}
+
+
+def intensity(ctx, rng, kinds):
+    """A density whose cells carry one rate of each listed kind; f takes
+    small values on them, tiny ones on a split rate so e^<f> stays finite."""
+    balls = randgen.random_disjoint_balls(ctx, rng, len(kinds), splits=len(kinds))
+    density, fparts = [], []
+    for ball, kind in zip(balls, kinds):
+        rate = RATES[kind](rng)
+        density.append((ball, rate / ball.measure))
+        scale = 4096 if kind == "split" else 32
+        fparts.append((ball, Fraction(rng.randint(-4, 4), scale)))
+    mu = IntensityMeasure(StepFunction.make(ctx, REAL, density, 1))
+    return mu, StepFunction.make(ctx, REAL, fparts, 0), balls
+
+
+def descriptors(ctx, f, balls):
+    """An exponential, a polynomial and, when there are balls, a count event,
+    with the offset of each one's values in product_evaluator's atoms."""
+    fs = [Exponential(f), Polynomial(((f, 2),))]
+    if balls:
+        inside = ClopenSet.of(ctx, balls[:1])
+        fs.append(CountEvent(((inside, GE, 1), (inside, LE, 40))))
+    offsets = [0, 1, 2][: len(fs)]  # the count event's two sets start at 2
+    return fs, offsets
+
+
+# -- equality with the per-atom loop ---------------------------------------------
+
+
+@given(
+    p=st.sampled_from(PRIMES),
+    seed=st.integers(0, 10**6),
+    kinds=st.lists(st.sampled_from(sorted(RATES)), max_size=6),
+    n=st.integers(1, 700),
+    block_bytes=st.sampled_from([8, 200, 1 << 14]),
+)
+@settings(max_examples=60, deadline=None)
+def test_estimates_equal_the_per_atom_loop(p, seed, kinds, n, block_bytes):
+    ctx = PadicContext(p)
+    rng = random.Random(seed)
+    mu, f, balls = intensity(ctx, rng, kinds)
+    fs, offsets = descriptors(ctx, f, balls)
+    atoms, ev = product_evaluator(mu, fs)
+    if not kinds:
+        assert atoms == []
+    ref = ref_product([ref_counts_evaluator(g, atoms, o) for g, o in zip(fs, offsets)])
+    with mock.patch.object(poisson, "_BLOCK_BYTES", block_bytes):
+        assert mc_run(atoms, ev, n, seed) == ref_mc_run(atoms, ref, n, seed)
+        for g, o in zip(fs, offsets):
+            got = mc_run(atoms, poisson._counts_evaluator(g, atoms, o), n, seed)
+            assert got == ref_mc_run(atoms, ref_counts_evaluator(g, atoms, o), n, seed)
+
+
+@given(p=st.sampled_from(PRIMES), seed=st.integers(0, 10**6), n=st.integers(1, 500))
+@settings(max_examples=30, deadline=None)
+def test_importance_estimates_equal_the_per_atom_loop(p, seed, n):
+    ctx = PadicContext(p)
+    rng = random.Random(seed)
+    kinds = [rng.choice(["tiny", "one", "mid"]) for _ in range(4)]
+    mu, f, _ = intensity(ctx, rng, kinds)
+    atoms = mc_atoms(IntensityMeasure.haar(ctx), [mu.density, f])
+    for scale in (1.0, 2.0):
+        got = mc_run(atoms, representation._importance_evaluator(atoms, scale), n, seed)
+        assert got == ref_mc_run(atoms, ref_importance_evaluator(atoms, scale), n, seed)
+
+
+def test_estimates_across_chunks_and_blocks():
+    """n past one chunk, on an atom set wide enough that the byte bound
+    sets the block size and the last block of each chunk is short."""
+    ctx = PadicContext(3)
+    rng = random.Random("chunks")
+    kinds = ["tiny"] * 40 + ["one", "mid", "mid", "split"]
+    mu, f, _ = intensity(ctx, rng, kinds)
+    atoms, ev = product_evaluator(mu, [Exponential(f)])
+    ref = ref_counts_evaluator(Exponential(f), atoms)
+    n = _CHUNK + 300
+    with mock.patch.object(poisson, "_BLOCK_BYTES", 8 * 7 * len(atoms)):
+        assert mc_run(atoms, ev, n, 11) == ref_mc_run(atoms, ref, n, 11)
+
+
+def test_no_atoms_evaluates_the_empty_configuration():
+    calls = []
+
+    def ev(pairs):
+        calls.append(pairs)
+        return 2.5
+
+    assert mc_run([], ev, 1000, 3) == ref_mc_run([], lambda counts: 2.5, 1000, 3)
+    assert calls == [[]] * 1000
+
+
+# -- the uniforms of a block -------------------------------------------------------
+
+
+def block_uniforms(raw: bytes) -> list:
+    """random()'s uniforms from getrandbits bytes: (w0 >> 5, w1 >> 6) of
+    each pair of 32-bit words."""
+    out = []
+    for w0, w1 in struct.iter_unpack("<II", raw):
+        out.append(((w0 >> 5) * 67108864.0 + (w1 >> 6)) / 9007199254740992.0)
+    return out
+
+
+@pytest.mark.parametrize("seed", ["0:0", "42:3", 7])
+def test_block_uniforms_match_random(seed):
+    blocks, calls = random.Random(seed), random.Random(seed)
+    for size in (1, 3, 17, 64, 2, 500):
+        raw = blocks.getrandbits(64 * size).to_bytes(8 * size, "little")
+        want = [calls.random() for _ in range(size)]
+        assert block_uniforms(raw) == want
+        assert list(raw[3::8]) == [int(u * 256) for u in want]
+    assert blocks.random() == calls.random()
+
+
+# -- the block rule at boundary uniforms ---------------------------------------------
+
+
+class Uniforms:
+    """A stand-in chunk stream whose getrandbits returns the listed uniforms,
+    each given as X with u = X / 2^53, in the words random() would read."""
+
+    def __init__(self, xs):
+        self.xs = list(xs)
+
+    def getrandbits(self, k):
+        take, self.xs = self.xs[: k // 64], self.xs[k // 64 :]
+        out = 0
+        for j, x in enumerate(take):
+            # the low bits random() drops are set, to show they are ignored
+            w0 = (x >> 26) << 5 | 0b10101
+            w1 = (x & ((1 << 26) - 1)) << 6 | 0b110011
+            out |= (w0 | w1 << 32) << (64 * j)
+        return out
+
+
+def block_counts(rate, xs):
+    """The counts mc_run draws for one atom from the uniforms xs."""
+    pieces = PoissonVariate(rate).pieces
+    draws = []
+    with mock.patch.object(poisson, "_chunk_rng", lambda seed, index: Uniforms(xs)):
+        mc_run([(None, rate, ())], lambda pairs: draws.append(pairs) or 0.0,
+               len(xs) // pieces, 0)
+    return [pairs[0][1] if pairs else 0 for pairs in draws]
+
+
+def boundary_xs(rate):
+    """X = u·2^53 around each edge of the block rule for one rate: P(N = 0)
+    (itself when it is a multiple of 2^-53, as it is for rates below ln 2),
+    the top bytes T − 1, T and T + 1, table entries and the table end.
+    random() returns multiples of 2^-53 only, so the nearest uniforms on
+    each side of an edge are X − 1, X and X + 1."""
+    unit = 2**53
+    variate = PoissonVariate(rate)
+    top = int(variate.zero * 256) if variate.pieces == 1 else 0
+    zero_x = math.floor(variate.zero * unit)
+    xs = {0, unit - 1, zero_x - 1, zero_x, zero_x + 1}
+    for t in (top - 1, top, top + 1):
+        xs.update(((t << 45) - 1, t << 45))
+    for c in variate.table[:6] + variate.table[-3:]:
+        x = math.floor(c * unit)
+        xs.update((x - 1, x, x + 1))
+    if variate.table[-1] < 1.0:
+        xs.add(math.floor(variate.table[-1] * unit) + 1)  # past the table end
+    return sorted(x for x in xs if 0 <= x < unit)
+
+
+@pytest.mark.parametrize(
+    "rate", [1e-9, 1 / 300, 0.25, 1.0, 5.5, 6.0, 40.0, 500.0, 700.0]
+)
+def test_block_rule_matches_draw_at_boundaries(rate):
+    xs = boundary_xs(rate)
+    us = iter([x / 2**53 for x in xs])
+    variate = PoissonVariate(rate)
+    assert block_counts(rate, xs) == [variate.draw(us.__next__) for _ in xs]
+
+
+def test_past_the_table_end_counts_the_guard():
+    rate = 500.0  # its table ends below the largest uniform, 1 - 2^-53
+    table = PoissonVariate(rate).table
+    assert table[-1] < 1.0
+    x = math.floor(table[-1] * 2**53) + 1
+    assert block_counts(rate, [x]) == [_TABLE_END + 1]
+
+
+@pytest.mark.parametrize("rate", [701.0, 1500.0, 2100.5])
+def test_split_rate_matches_draw(rate):
+    variate = PoissonVariate(rate)
+    assert variate.pieces > 1
+    rng = random.Random(f"split:{rate}")
+    edges = boundary_xs(rate)
+    xs = [rng.choice(edges) for _ in range(variate.pieces * 40)]
+    us = iter([x / 2**53 for x in xs])
+    assert block_counts(rate, xs) == [variate.draw(us.__next__) for _ in range(40)]
+
+
+# -- the work of a draw --------------------------------------------------------------
+
+
+def test_mc_run_draws_no_variate_per_atom():
+    """A 64-part atom set completes without PoissonVariate.draw, so mc_run's
+    work does not grow as one Python draw per atom per sample."""
+    ctx = PadicContext(3)
+    rng = random.Random("work")
+    balls = randgen.random_disjoint_balls(ctx, rng, 64, root_exp=1, splits=64)
+    parts = [(b, Fraction(rng.randint(0, 4), rng.randint(1, 3))) for b in balls]
+    mu = IntensityMeasure(StepFunction.make(ctx, REAL, parts, 1))
+    values = [(b, Fraction(rng.randint(-2, 2), 4)) for b in balls]
+    f = StepFunction.make(ctx, REAL, values, 0)
+    atoms, ev = product_evaluator(mu, [Exponential(f)])
+    assert len(atoms) >= 64
+    want = ref_mc_run(atoms, ref_counts_evaluator(Exponential(f), atoms), 2000, 5)
+
+    def refuse(self, uniform):
+        raise AssertionError("mc_run called PoissonVariate.draw")
+
+    with mock.patch.object(PoissonVariate, "draw", refuse):
+        assert mc_run(atoms, ev, 2000, 5) == want
