@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 from .errors import ContextMismatch, KindMismatch, PadicAffineError
 from .padic import (
-    DISJOINT,
-    SECOND_INSIDE_FIRST,
     Ball,
     BallIndex,
     ClopenSet,
@@ -137,7 +135,9 @@ class AffineElement:
         """The one-particle motion (gf)(x) = f(g(x) x), exact and piecewise."""
         if f.ctx.p != self.ctx.p:
             raise ContextMismatch("function from a different context")
-        r = self.enclosing_exp()
+        # g fixes every point outside its hull, so over a ball that also
+        # holds f's parts the cells outside the hull keep f's values
+        r = max(self.enclosing_exp(), f.enclosing_exp())
         index = BallIndex(f.parts)
         parts = []
         for cell, a_k, b_k in self.pieces(r):
@@ -153,17 +153,6 @@ class AffineElement:
             parts.extend(
                 (c_j.image(inv_a, shift), v_j) for c_j, v_j in index.inside(img)
             )
-        # g fixes every point outside the hull, where f keeps its parts
-        hull = Ball(self.ctx, r, ())
-        for c_j, v_j in f.parts:
-            rel = c_j.relation(hull)
-            if rel == DISJOINT:
-                parts.append((c_j, v_j))
-            elif rel == SECOND_INSIDE_FIRST:
-                rest = ClopenSet(self.ctx, (c_j,)).subtract(
-                    ClopenSet(self.ctx, (hull,))
-                )
-                parts.extend((b, v_j) for b in rest.balls)
         return StepFunction._build(self.ctx, f.kind, parts, f.tail)
 
     def preimage_clopen(self, s: ClopenSet) -> ClopenSet:

@@ -50,16 +50,40 @@ class Configuration:
 
 
 class CylinderFunction:
-    """Base for the descriptor family F(gamma) = psi(<f_1,gamma>, ...)."""
+    """Base for the descriptor family F(gamma) = psi(<f_1,gamma>, ...).
 
-    def window(self) -> ClopenSet:
+    A descriptor lists its step functions or clopen sets in fns() and gives
+    F as psi of their pairings with gamma; a clopen set pairs with gamma as
+    its point count. The window, evaluation and the Monte Carlo count
+    evaluator read these two alone."""
+
+    def fns(self) -> list:
+        raise NotImplementedError
+
+    def psi(self, xs) -> float:
         raise NotImplementedError
 
     def transform(self, g: AffineElement) -> "CylinderFunction":
         raise NotImplementedError
 
+    def window(self) -> ClopenSet:
+        """The union of the supports of fns()."""
+        out = None
+        for fn in self.fns():
+            s = fn.deviation_support() if isinstance(fn, StepFunction) else fn
+            out = s if out is None else out.union(s)
+        return out
+
     def evaluate(self, gamma: Configuration) -> float:
-        raise NotImplementedError
+        """psi of the exact pairings: float(pair_sum) for a step function,
+        which checks the window, and the point count for a clopen set, which
+        does not."""
+        xs = [
+            float(pair_sum(fn, gamma)) if isinstance(fn, StepFunction)
+            else sum(1 for x in gamma.points if fn.contains(x))
+            for fn in self.fns()
+        ]
+        return self.psi(xs)
 
 
 @dataclass(frozen=True)
@@ -74,14 +98,14 @@ class Exponential(CylinderFunction):
         if self.f.tail != 0:
             raise PadicAffineError("test function must vanish at infinity")
 
-    def window(self) -> ClopenSet:
-        return self.f.deviation_support()
+    def fns(self) -> list:
+        return [self.f]
+
+    def psi(self, xs) -> float:
+        return math.exp(xs[0])
 
     def transform(self, g: AffineElement) -> "Exponential":
         return Exponential(g.act_function(self.f))
-
-    def evaluate(self, gamma: Configuration) -> float:
-        return math.exp(float(pair_sum(self.f, gamma)))
 
 
 @dataclass(frozen=True)
@@ -103,21 +127,17 @@ class Polynomial(CylinderFunction):
     def degree(self) -> int:
         return sum(e for _, e in self.factors)
 
-    def window(self) -> ClopenSet:
-        out = None
-        for f, _ in self.factors:
-            s = f.deviation_support()
-            out = s if out is None else out.union(s)
+    def fns(self) -> list:
+        return [f for f, _ in self.factors]
+
+    def psi(self, xs) -> float:
+        out = 1.0
+        for x, (_, e) in zip(xs, self.factors):
+            out *= x**e
         return out
 
     def transform(self, g: AffineElement) -> "Polynomial":
         return Polynomial(tuple((g.act_function(f), e) for f, e in self.factors))
-
-    def evaluate(self, gamma: Configuration) -> float:
-        out = 1.0
-        for f, e in self.factors:
-            out *= float(pair_sum(f, gamma)) ** e
-        return out
 
 
 EQ, LE, GE = "=", "<=", ">="
@@ -136,11 +156,14 @@ class CountEvent(CylinderFunction):
             if op not in (EQ, LE, GE) or k < 0:
                 raise PadicAffineError(f"bad count condition {op!r} {k}")
 
-    def window(self) -> ClopenSet:
-        out = None
-        for s, _, _ in self.conditions:
-            out = s if out is None else out.union(s)
-        return out
+    def fns(self) -> list:
+        return [s for s, _, _ in self.conditions]
+
+    def psi(self, xs) -> float:
+        for n, (_, op, k) in zip(xs, self.conditions):
+            if not _holds(n, op, k):
+                return 0.0
+        return 1.0
 
     def sets_disjoint(self) -> bool:
         # each set is canonical, so only balls of two sets can overlap
@@ -151,13 +174,6 @@ class CountEvent(CylinderFunction):
         return CountEvent(
             tuple((g.preimage_clopen(s), op, k) for s, op, k in self.conditions)
         )
-
-    def evaluate(self, gamma: Configuration) -> float:
-        for s, op, k in self.conditions:
-            n = sum(1 for x in gamma.points if s.contains(x))
-            if not _holds(n, op, k):
-                return 0.0
-        return 1.0
 
 
 def _holds(n: int, op: str, k: int) -> bool:
@@ -304,9 +320,6 @@ class PreparedDraw:
         weights = self.weights
         return bisect_right(weights, num * weights[-1] // den)
 
-    def atom(self, u: float) -> Ball:
-        return self.balls[self.pick(u)]
-
 
 def sample_config(
     mu: IntensityMeasure, window: ClopenSet, depth: int, rng: random.Random
@@ -386,19 +399,6 @@ def laplace_exponent(f: StepFunction, mu: IntensityMeasure) -> float:
     return laplace_sum(window_cells(mu, [f]))
 
 
-def _moment1(f: StepFunction, mu: IntensityMeasure) -> Fraction:
-    cells = window_cells(mu, [f])
-    return sum((fv * rv * cell.measure for cell, (fv, rv) in cells), Fraction(0))
-
-
-def _cross_moment(f1, f2, mu) -> Fraction:
-    cells = window_cells(mu, [f1, f2])
-    return sum(
-        (v1 * v2 * rv * cell.measure for cell, (v1, v2, rv) in cells),
-        Fraction(0),
-    )
-
-
 def _poisson_pmf(lam: float, k: int) -> float:
     return math.exp(-lam) * lam**k / math.factorial(k)
 
@@ -427,16 +427,15 @@ def expect_exact(f: CylinderFunction, mu: IntensityMeasure) -> float:
     if isinstance(f, Polynomial):
         if f.degree > 2:
             raise UnsupportedShape("polynomial expectations need degree <= 2")
-        if f.degree == 1:
-            return float(_moment1(f.factors[0][0], mu))
-        if len(f.factors) == 1:
-            g = f.factors[0][0]
-            m1 = _moment1(g, mu)
-            return float(_cross_moment(g, g, mu) + m1 * m1)
-        g1, g2 = f.factors[0][0], f.factors[1][0]
-        return float(
-            _cross_moment(g1, g2, mu) + _moment1(g1, mu) * _moment1(g2, mu)
-        )
+        # E<g,gamma> = int g dmu; E<g1,gamma><g2,gamma> adds int g1 g2 dmu to
+        # the product of the means (the Campbell formulas)
+        gs = [g for g, e in f.factors for _ in range(e)]
+        cells = [(vs, rv * c.measure) for c, (*vs, rv) in window_cells(mu, gs)]
+        m = [sum((vs[j] * w for vs, w in cells), Fraction(0)) for j in range(len(gs))]
+        if len(gs) == 1:
+            return float(m[0])
+        cross = sum((vs[0] * vs[1] * w for vs, w in cells), Fraction(0))
+        return float(cross + m[0] * m[1])
     if isinstance(f, CountEvent):
         if not f.sets_disjoint():
             raise UnsupportedShape(
@@ -500,6 +499,8 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
     X = u·2^53 against the table entries floor(c·2^53). The work per draw is
     about atoms/256 plus the points drawn, beside C passes over its bytes.
     """
+    if n < 1:
+        raise PadicAffineError("Monte Carlo runs need at least one sample")
     plan = []  # per slot: (atom index, pieces, integer table); None for later pieces
     lift = bytearray()  # per slot: (256 - T) << 24 as one little-endian lane
     for i, (_, rate, _) in enumerate(atoms):
@@ -567,67 +568,33 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
 def _counts_evaluator(f: CylinderFunction, atoms: list, offset: int = 0):
     """Closure computing F(gamma) from the nonzero counts, as mc_run passes
     them: (atom index, count) pairs in atom order. values[offset...] hold
-    this descriptor's per-cell data in mc_atoms order."""
-    if isinstance(f, Exponential):
-        fvals = [float(vals[offset]) for _, _, vals in atoms]
+    the per-cell values of f.fns() in mc_atoms order, so each pairing is the
+    sum of count times value over the atoms hit."""
+    rows = [
+        [float(vals[j]) for _, _, vals in atoms]
+        for j in range(offset, offset + len(f.fns()))
+    ]
+    psi = f.psi
 
-        def ev(pairs):
-            return math.exp(sum(c * fvals[i] for i, c in pairs))
+    def ev(pairs):
+        xs = []  # a loop, not a comprehension: one frame less per draw
+        for row in rows:
+            xs.append(sum(c * row[i] for i, c in pairs))
+        return psi(xs)
 
-        return ev
-    if isinstance(f, Polynomial):
-        table = [
-            [float(vals[offset + j]) for _, _, vals in atoms]
-            for j in range(len(f.factors))
-        ]
-        powers = [e for _, e in f.factors]
-
-        def ev(pairs):
-            out = 1.0
-            for row, e in zip(table, powers):
-                out *= sum(c * row[i] for i, c in pairs) ** e
-            return out
-
-        return ev
-    if isinstance(f, CountEvent):
-        masks = [
-            [bool(vals[offset + i]) for _, _, vals in atoms]
-            for i in range(len(f.conditions))
-        ]
-        preds = [(op, k) for _, op, k in f.conditions]
-
-        def ev(pairs):
-            for mask, (op, k) in zip(masks, preds):
-                total = sum(c for i, c in pairs if mask[i])
-                if not _holds(total, op, k):
-                    return 0.0
-            return 1.0
-
-        return ev
-    raise UnsupportedShape(f"cannot evaluate {type(f).__name__} from counts")
-
-
-def _descriptor_fns(f: CylinderFunction) -> list:
-    if isinstance(f, Exponential):
-        return [f.f]
-    if isinstance(f, Polynomial):
-        return [fn for fn, _ in f.factors]
-    if isinstance(f, CountEvent):
-        return [s for s, _, _ in f.conditions]
-    raise UnsupportedShape(f"unknown descriptor {type(f).__name__}")
+    return ev
 
 
 def product_evaluator(mu: IntensityMeasure, fs: list):
     """(atoms, evaluator) for Monte Carlo of the product of the descriptors
     fs under pi_mu: mc_atoms of their functions and the product of their
     count evaluators."""
-    groups = [_descriptor_fns(f) for f in fs]
-    atoms = mc_atoms(mu, [fn for fns in groups for fn in fns])
+    atoms = mc_atoms(mu, [fn for f in fs for fn in f.fns()])
     evs = []
     offset = 0
-    for f, fns in zip(fs, groups):
+    for f in fs:
         evs.append(_counts_evaluator(f, atoms, offset))
-        offset += len(fns)
+        offset += len(f.fns())
     if len(evs) == 1:
         return atoms, evs[0]
 

@@ -273,6 +273,20 @@ def support_shift_trials(ctx, rng, trials) -> CheckReport:
     return _count_report("support-shift", failures, trials)
 
 
+def _z_report(name, lhs, rhs, z, seed, samples) -> CheckReport:
+    return CheckReport(
+        name=name,
+        mode=MONTE_CARLO,
+        lhs=lhs,
+        rhs=rhs,
+        defect=z,
+        passed=z <= MC_SIGMA,
+        tolerance=MC_SIGMA,
+        seed=seed,
+        samples=samples,
+    )
+
+
 def sampler_reports(ctx, seed, samples) -> list:
     """Moment and independence z-checks for the Poisson sampler."""
     haar = IntensityMeasure.haar(ctx)
@@ -303,19 +317,7 @@ def sampler_reports(ctx, seed, samples) -> list:
         mean = sum(series) / n
         se = math.sqrt(lam / n)
         worst = max(worst, abs(mean - lam) / se)
-    reports.append(
-        CheckReport(
-            name="sampler-child-means",
-            mode=MONTE_CARLO,
-            lhs=worst,
-            rhs=0.0,
-            defect=worst,
-            passed=worst <= MC_SIGMA,
-            tolerance=MC_SIGMA,
-            seed=seed,
-            samples=n,
-        )
-    )
+    reports.append(_z_report("sampler-child-means", worst, 0.0, worst, seed, n))
     # pairwise covariance of disjoint regions should vanish
     worst_cov = 0.0
     for i in range(p):
@@ -331,33 +333,13 @@ def sampler_reports(ctx, seed, samples) -> list:
             se = math.sqrt(var / n) if var > 0 else 1.0 / n
             worst_cov = max(worst_cov, abs(cov) / se)
     reports.append(
-        CheckReport(
-            name="sampler-independence",
-            mode=MONTE_CARLO,
-            lhs=worst_cov,
-            rhs=0.0,
-            defect=worst_cov,
-            passed=worst_cov <= MC_SIGMA,
-            tolerance=MC_SIGMA,
-            seed=seed,
-            samples=n,
-        )
+        _z_report("sampler-independence", worst_cov, 0.0, worst_cov, seed, n)
     )
     void_target = math.exp(-1.0)
     se = math.sqrt(void_target * (1 - void_target) / n)
     zscore = abs(voids / n - void_target) / se
     reports.append(
-        CheckReport(
-            name="sampler-void-probability",
-            mode=MONTE_CARLO,
-            lhs=voids / n,
-            rhs=void_target,
-            defect=zscore,
-            passed=zscore <= MC_SIGMA,
-            tolerance=MC_SIGMA,
-            seed=seed,
-            samples=n,
-        )
+        _z_report("sampler-void-probability", voids / n, void_target, zscore, seed, n)
     )
     return reports
 

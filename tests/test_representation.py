@@ -34,7 +34,8 @@ from padic_affine import (
     rn_density,
     rn_factors,
 )
-from padic_affine.errors import ContractViolation, WindowMismatch
+from padic_affine.errors import ContractViolation, PadicAffineError, WindowMismatch
+from padic_affine.poisson import mc_run
 from padic_affine.randgen import (
     random_clopen,
     random_element,
@@ -266,3 +267,39 @@ class TestWindowHandling:
         )
         with pytest.raises(Exception):
             check_factorization(ev, poly)
+
+
+class TestZeroSamples:
+    """A Monte Carlo check asked for no samples refuses with a typed error."""
+
+    def setup_method(self):
+        self.ctx = ctx3()
+        rng = random.Random(3)
+        self.g = random_element(self.ctx, rng)
+        self.f = random_test_function(self.ctx, rng)
+        self.ev = CountEvent(((ClopenSet.of(self.ctx, [Ball(self.ctx, 0, ())]), "=", 0),))
+
+    def test_mc_run(self):
+        with pytest.raises(PadicAffineError):
+            mc_run([(None, 1.0, ())], lambda pairs: 1.0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "check", [check_laplace_mc, check_rn_identity_mc, check_isometry_mc]
+    )
+    def test_exponential_replicas(self, check):
+        with pytest.raises(PadicAffineError):
+            check(self.g, self.f, 0, 1)
+
+    def test_factorization(self):
+        poly = Polynomial(((self.f, 1),))
+        with pytest.raises(PadicAffineError):
+            check_factorization(self.ev, poly, samples=0, seed=1)
+
+    def test_ergodic_inequality(self, monkeypatch):
+        # disjoint decoupled events have a closed form; calling every pair of
+        # conditions overlapping sends the check down its Monte Carlo branch
+        monkeypatch.setattr(
+            CountEvent, "sets_disjoint", lambda self: len(self.conditions) == 1
+        )
+        with pytest.raises(PadicAffineError):
+            check_ergodic_inequality(self.ev, self.ev, samples=0, seed=1)
