@@ -36,7 +36,6 @@ from .measure import IntensityMeasure, pushforward, roundtrip_defect
 from .padic import PadicContext
 from .poisson import required_depth, sample_config
 from .representation import (
-    EXACT,
     check_isometry,
     check_isometry_mc,
     check_laplace,
@@ -182,12 +181,10 @@ def _emit(reports, cfg, extra_lines=None):
 
 
 def _retolerance(reports, cfg):
-    """Apply a caller tolerance to the exact-mode checks whose defect is a
-    relative difference; counts and fixed verdicts keep theirs."""
+    """Re-judge every report against the caller's tolerance
+    (CheckReport.rejudge decides which verdicts it may move)."""
     for r in reports:
-        if r.mode == EXACT and not r.fixed_verdict:
-            r.tolerance = cfg.tolerance
-            r.passed = r.defect <= cfg.tolerance
+        r.rejudge(cfg.tolerance)
     return reports
 
 

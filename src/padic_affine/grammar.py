@@ -247,7 +247,7 @@ class Parser:
         return (sets, op_tok.text, count)
 
     def value(self, step_kind: str = REAL):
-        """Dispatch on the leading token; used by the CLI for typed inputs."""
+        """Dispatch on the leading token; called by parse_value."""
         tok = self._peek()
         if tok.text == "aff":
             return self.affine()

@@ -8,7 +8,6 @@ interpretation is a declared kind.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 
@@ -219,11 +218,8 @@ class StepFunction:
         return sum((v * cell.measure for cell, (v,) in cells), Fraction(0))
 
     def integrate_transform(self, s: ClopenSet, transform: str):
-        """Integral of t(F) over S for a named transform t.
-
-        abs_dev (v -> |v-1|) and one_minus (v -> 1-v) stay exact rationals;
-        expm1 (v -> e^v - 1) evaluates one float exponential per piece.
-        """
+        """Exact integral of t(F) over S for a named transform t: abs_dev
+        (v -> |v-1|) or one_minus (v -> 1-v)."""
         if self.kind != REAL:
             raise KindMismatch("integrate requires a real-valued function")
         pieces = [(v, cell.measure) for cell, (v,) in refine_window(s, [self])]
@@ -231,8 +227,6 @@ class StepFunction:
             return sum((abs(v - 1) * m for v, m in pieces), Fraction(0))
         if transform == "one_minus":
             return sum(((1 - v) * m for v, m in pieces), Fraction(0))
-        if transform == "expm1":
-            return math.fsum(math.expm1(v) * m for v, m in pieces)
         raise ValueError(f"unknown transform {transform!r}")
 
     def support_integral(self) -> Fraction:

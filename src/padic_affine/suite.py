@@ -30,10 +30,6 @@ from .randgen import (
     random_unit,
 )
 from .representation import (
-    EXACT,
-    EXACT_TOL,
-    MC_SIGMA,
-    MONTE_CARLO,
     CheckReport,
     check_ergodic_inequality,
     check_factorization,
@@ -44,27 +40,12 @@ from .representation import (
     check_dual_pairing,
     check_rn_identity,
     check_rn_identity_mc,
+    count_report,
     decoupler_postconditions,
     find_decoupler,
+    mc_report,
 )
 from .stepfn import PADIC, REAL, StepFunction
-
-
-def _count_report(name, failures, trials, audit=False, note=None) -> CheckReport:
-    # passes only with no failure: defect <= EXACT_TOL, whatever the caller's
-    # tolerance
-    return CheckReport(
-        name=name,
-        mode=EXACT,
-        lhs=float(failures),
-        rhs=0.0,
-        defect=float(failures),
-        passed=failures == 0,
-        tolerance=EXACT_TOL,
-        audit=audit,
-        note=note or f"{trials} trials",
-        fixed_verdict=True,
-    )
 
 
 def group_axiom_trials(ctx, rng, trials) -> CheckReport:
@@ -85,7 +66,7 @@ def group_axiom_trials(ctx, rng, trials) -> CheckReport:
             failures += 1
         if not multiply(inv, g1).is_identity():
             failures += 1
-    return _count_report("group-axioms", failures, trials)
+    return count_report("group-axioms", failures, trials)
 
 
 def orientation_trials(ctx, rng, trials) -> CheckReport:
@@ -106,7 +87,7 @@ def orientation_trials(ctx, rng, trials) -> CheckReport:
         y = g2.section(x).act(g1.section(x).act(x))
         if left_first.act(x) != y:
             failures += 1
-    return _count_report("section-orientation", failures, trials)
+    return count_report("section-orientation", failures, trials)
 
 
 def mass_conservation_trials(ctx, rng, trials) -> CheckReport:
@@ -118,7 +99,7 @@ def mass_conservation_trials(ctx, rng, trials) -> CheckReport:
         support = rho.deviation_support()
         if rho.integrate_transform(support, "one_minus") != 0:
             failures += 1
-    return _count_report("mass-conservation", failures, trials)
+    return count_report("mass-conservation", failures, trials)
 
 
 def worked_density_report(ctx) -> CheckReport:
@@ -133,7 +114,7 @@ def worked_density_report(ctx) -> CheckReport:
         and all(rho.evaluate(b.center) == 1 + Fraction(1, p) for b in shell.balls)
         and rho.tail == 1
     )
-    return _count_report("worked-density", 0 if ok else 1, 1)
+    return count_report("worked-density", 0 if ok else 1, 1)
 
 
 def _exact_trials(name, check, ctx, rng, trials) -> CheckReport:
@@ -147,7 +128,7 @@ def _exact_trials(name, check, ctx, rng, trials) -> CheckReport:
         worst = max(worst, r.defect)
         if not r.passed:
             failures += 1
-    out = _count_report(name, failures, trials)
+    out = count_report(name, failures, trials)
     out.defect = worst
     return out
 
@@ -176,7 +157,7 @@ def isometry_reports(ctx, rng, trials) -> list:
     r0 = check_isometry(g0, f0)
     if not r0.passed:
         failures += 1
-    out = [_count_report("isometry-preserving", failures, haar_trials + 1)]
+    out = [count_report("isometry-preserving", failures, haar_trials + 1)]
     g1 = g0.inverse()
     audit = check_isometry(g1, f0)
     audit.name = "isometry-contracting-audit"
@@ -194,7 +175,7 @@ def decoupling_reports(ctx, rng, trials, samples, seed) -> list:
         post = decoupler_postconditions(g, l1, l2)
         if not all(post.values()):
             failures += 1
-    out = [_count_report("decoupler-postconditions", failures, trials)]
+    out = [count_report("decoupler-postconditions", failures, trials)]
     f1 = random_test_function(ctx, rng)
     f2 = random_test_function(ctx, rng)
     fac = check_factorization(Exponential(f1), Exponential(f2))
@@ -224,7 +205,7 @@ def composition_reports(ctx, rng, trials) -> list:
     )
     region = composition_defect(g1, g2, f)
     covers = ClopenSet.of(ctx, [z]).subtract(region).is_empty
-    finding = _count_report(
+    finding = count_report(
         "composition-counterexample",
         0 if (not region.is_empty and covers) else 1,
         1,
@@ -244,7 +225,7 @@ def composition_reports(ctx, rng, trials) -> list:
         ftest = random_test_function(ctx, rng)
         if not composition_defect(ga, gb, ftest).is_empty:
             failures += 1
-    ok = _count_report("composition-disjoint-pairs", failures, trials)
+    ok = count_report("composition-disjoint-pairs", failures, trials)
     return [finding, ok]
 
 
@@ -270,25 +251,12 @@ def support_shift_trials(ctx, rng, trials) -> CheckReport:
         target = support.translate(-h)
         if not shifted.subtract(target).is_empty:
             failures += 1
-    return _count_report("support-shift", failures, trials)
-
-
-def _z_report(name, lhs, rhs, z, seed, samples) -> CheckReport:
-    return CheckReport(
-        name=name,
-        mode=MONTE_CARLO,
-        lhs=lhs,
-        rhs=rhs,
-        defect=z,
-        passed=z <= MC_SIGMA,
-        tolerance=MC_SIGMA,
-        seed=seed,
-        samples=samples,
-    )
+    return count_report("support-shift", failures, trials)
 
 
 def sampler_reports(ctx, seed, samples) -> list:
-    """Moment and independence z-checks for the Poisson sampler."""
+    """Moment and independence z-checks for the Poisson sampler; a worst
+    z-score is reported as its own mean with unit standard error."""
     haar = IntensityMeasure.haar(ctx)
     z = Ball(ctx, 0, ())
     window = ClopenSet.of(ctx, [z])
@@ -317,7 +285,7 @@ def sampler_reports(ctx, seed, samples) -> list:
         mean = sum(series) / n
         se = math.sqrt(lam / n)
         worst = max(worst, abs(mean - lam) / se)
-    reports.append(_z_report("sampler-child-means", worst, 0.0, worst, seed, n))
+    reports.append(mc_report("sampler-child-means", worst, 1.0, 0.0, seed, n))
     # pairwise covariance of disjoint regions should vanish
     worst_cov = 0.0
     for i in range(p):
@@ -332,14 +300,11 @@ def sampler_reports(ctx, seed, samples) -> list:
             var = sum((w - cov) ** 2 for w in prods) / n
             se = math.sqrt(var / n) if var > 0 else 1.0 / n
             worst_cov = max(worst_cov, abs(cov) / se)
-    reports.append(
-        _z_report("sampler-independence", worst_cov, 0.0, worst_cov, seed, n)
-    )
+    reports.append(mc_report("sampler-independence", worst_cov, 1.0, 0.0, seed, n))
     void_target = math.exp(-1.0)
     se = math.sqrt(void_target * (1 - void_target) / n)
-    zscore = abs(voids / n - void_target) / se
     reports.append(
-        _z_report("sampler-void-probability", voids / n, void_target, zscore, seed, n)
+        mc_report("sampler-void-probability", voids / n, se, void_target, seed, n)
     )
     return reports
 
@@ -390,7 +355,7 @@ def audit_random(p: int, seed: int, trials: int) -> list:
         if not composition_defect(g1, g2, f).is_empty:
             comp_findings += 1
     reports.append(
-        _count_report(
+        count_report(
             "composition-audit",
             0,
             trials,
@@ -408,7 +373,7 @@ def audit_random(p: int, seed: int, trials: int) -> list:
             iso_findings += 1
             worst = max(worst, r.defect)
     reports.append(
-        _count_report(
+        count_report(
             "isometry-audit",
             0,
             trials,
@@ -427,7 +392,7 @@ def audit_random(p: int, seed: int, trials: int) -> list:
         if not check_dual_pairing(g, f, q).passed:
             dual_findings += 1
     reports.append(
-        _count_report(
+        count_report(
             "duality-audit",
             0,
             trials,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from padic_affine import representation, suite
+from padic_affine import representation
 from padic_affine.cli import RunConfig, _retolerance, main
 from padic_affine.padic import Ball, ClopenSet, PadicContext
 from padic_affine.poisson import CountEvent
@@ -98,9 +98,14 @@ class TestToleranceScope:
         )
 
     def test_count_reports_keep_their_verdict(self):
-        report = suite._count_report("group-axioms", 1, 10)
+        report = representation.count_report("group-axioms", 1, 10)
         [out] = _retolerance([report], self.config(2.0))
         assert not out.passed
+
+    def test_z_scores_keep_their_verdict(self):
+        report = representation.mc_report("laplace-duality-mc", 1.0, 0.1, 2.0, 0, 1000)
+        [out] = _retolerance([report], self.config(100.0))
+        assert (out.passed, out.tolerance) == (False, representation.MC_SIGMA)
 
     def test_ergodic_bound_failure_stays(self, monkeypatch):
         ctx = PadicContext(3)
@@ -118,6 +123,7 @@ class TestToleranceScope:
 
 
 IDENTITY = "aff(a = {| tail 1}, b = {| tail 0})"
+COMMANDS = ["laplace", "rn", "unitarity"]
 
 
 class TestFloatRange:
@@ -133,12 +139,18 @@ class TestFloatRange:
         assert err == ""
         assert "compared" in out
 
-    @pytest.mark.parametrize("command", ["laplace", "rn", "unitarity"])
-    def test_value_beyond_float_range_exits_2(self, capsys, command):
-        code, out, err = run(
-            capsys, "--p", "3", command, "--g", IDENTITY,
-            "--f", "{B(0;0): 1000 | tail 0}",
-        )
+    @pytest.mark.parametrize("command, f", [
+        # e^1000 overflows while the exponent is computed
+        *[pytest.param(c, "{B(0;0): 1000 | tail 0}", id=c) for c in COMMANDS],
+        # expm1(709) · 27 overflows to inf without raising: both exponents
+        # are inf, and their defect would be nan
+        *[
+            pytest.param(c, "{B(0;3): 709 | tail 0}", id=f"{c}-inf-exponent")
+            for c in COMMANDS
+        ],
+    ])
+    def test_value_beyond_float_range_exits_2(self, capsys, command, f):
+        code, out, err = run(capsys, "--p", "3", command, "--g", IDENTITY, "--f", f)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")

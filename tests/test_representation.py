@@ -221,11 +221,11 @@ class TestDecoupling:
         assert r.passed
         assert r.lhs == pytest.approx(math.exp(-2.0), rel=1e-12)
 
-    def test_ergodic_mc_fallback(self):
-        poly_like = CountEvent(
+    def test_ergodic_exact_for_bounded_count(self):
+        at_most_one = CountEvent(
             ((ClopenSet.of(self.ctx, [self.z]), "<=", 1),)
         )
-        r = check_ergodic_inequality(poly_like, poly_like, samples=20000, seed=7)
+        r = check_ergodic_inequality(at_most_one, at_most_one)
         assert r.passed, r.defect
 
 
@@ -294,12 +294,3 @@ class TestZeroSamples:
         poly = Polynomial(((self.f, 1),))
         with pytest.raises(PadicAffineError):
             check_factorization(self.ev, poly, samples=0, seed=1)
-
-    def test_ergodic_inequality(self, monkeypatch):
-        # disjoint decoupled events have a closed form; calling every pair of
-        # conditions overlapping sends the check down its Monte Carlo branch
-        monkeypatch.setattr(
-            CountEvent, "sets_disjoint", lambda self: len(self.conditions) == 1
-        )
-        with pytest.raises(PadicAffineError):
-            check_ergodic_inequality(self.ev, self.ev, samples=0, seed=1)
