@@ -17,6 +17,7 @@ from .padic import (
     Padic,
     PadicContext,
     fraction_valuation,
+    split_union,
 )
 from .stepfn import PADIC, StepFunction, refine_window
 
@@ -116,9 +117,8 @@ class AffineElement:
         return multiply(self, other)
 
     def inverse(self) -> "AffineElement":
-        a_inv = self.a.map_values(lambda v: 1 / v)
-        b_inv = (-self.b).combine(a_inv, "mul")
-        return AffineElement(a_inv, b_inv)
+        """(1/a, -b/a), read on the cells of one union walk over a and b."""
+        return _pointwise(self.ctx, (self.a, self.b), _inverse_law)
 
     # -- actions ------------------------------------------------------------
 
@@ -160,13 +160,6 @@ class AffineElement:
         ind = StepFunction.indicator(s)
         return self.act_function(ind).deviation_support()
 
-    def act_configuration(self, points: list) -> tuple:
-        """Image points (with multiplicity) and an exact collision flag."""
-        if len(set(points)) != len(points):
-            raise PadicAffineError("input points must be pairwise distinct")
-        images = [self.act_point(x) for x in points]
-        return images, len(set(images)) < len(images)
-
     def is_measure_preserving(self) -> bool:
         """True iff every piece maps its own ball onto itself."""
         for ball, a_k, b_k in self.pieces():
@@ -179,12 +172,35 @@ class AffineElement:
 
 def multiply(left: AffineElement, right: AffineElement) -> AffineElement:
     """Group product; with left = (a2, b2) and right = (a1, b1) this is
-    (a1 a2, b2 + a2 b1), so the left factor acts first on points."""
+    (a1 a2, b2 + a2 b1), so the left factor acts first on points. The law
+    is applied once per cell of one union walk over all four coefficients."""
     if left.ctx.p != right.ctx.p:
         raise ContextMismatch("elements over different primes")
-    a = right.a.combine(left.a, "mul")
-    b = left.b.combine(left.a.combine(right.b, "mul"), "add")
-    return AffineElement(a, b)
+    return _pointwise(left.ctx, (left.a, left.b, right.a, right.b), _product_law)
+
+
+def _product_law(a2, b2, a1, b1) -> tuple:
+    # an operand of 1 (·) or 0 (+) passes through: cheaper than a Fraction op
+    a = a1 if a2 == 1 else a2 if a1 == 1 else a1 * a2
+    ab = a2 if b1 == 1 else b1 if a2 == 1 else a2 * b1
+    return a, b2 if ab == 0 else ab if b2 == 0 else b2 + ab
+
+
+def _inverse_law(a, b) -> tuple:
+    return (a, -b) if a == 1 else (1 / a, -b / a)
+
+
+def _pointwise(ctx, fns: tuple, law) -> AffineElement:
+    """(a, b) = law(*values) on each cell of one union walk over the parts of
+    fns, and law(*tails) off them: the Fraction tails keep values Fractions."""
+    tails = tuple(fn.tail for fn in fns)
+    entries = [(ball, slot, v) for slot, fn in enumerate(fns) for ball, v in fn.parts]
+    cells = [(cell, law(*values)) for cell, values in split_union(entries, tails)]
+    a_tail, b_tail = law(*tails)
+    return AffineElement(
+        StepFunction._build(ctx, PADIC, [(c, ab[0]) for c, ab in cells], a_tail),
+        StepFunction._build(ctx, PADIC, [(c, ab[1]) for c, ab in cells], b_tail),
+    )
 
 
 def composition_defect(

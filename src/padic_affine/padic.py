@@ -300,16 +300,6 @@ class Ball:
             Padic(self.ctx, self.center.frac + h), self.radius_exp
         )
 
-    def sample(self, depth: int, rng) -> Padic:
-        """Haar-uniform point of the ball, exact at the given digit depth.
-
-        The returned point determines a residual ball of radius
-        p^{radius_exp - depth}; deterministic for a fixed stream.
-        """
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        return self.point(rng.randrange(self.ctx.p**depth))
-
     def point(self, m: int) -> Padic:
         """The point c + m·p^(-k) of B(c; k), for an integer m >= 0."""
         cn, cd, up, down = self._frame()

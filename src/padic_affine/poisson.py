@@ -383,14 +383,16 @@ def laplace_sum(cells: list) -> float:
     """The integral of (e^f - 1) rho dm over (cell, (f, rho)) cells; one
     float exponential per cell."""
     try:
-        return math.fsum(
+        total = math.fsum(
             math.expm1(fv) * float(rv * cell.measure) for cell, (fv, rv) in cells
         )
-    except OverflowError as exc:
-        raise PadicAffineError(
-            "the Laplace exponent overflows a float: a value of f or the "
-            "mass of a cell is too large"
-        ) from exc
+        if math.isfinite(total):  # a product past a float's range is inf
+            return total
+    except OverflowError:
+        pass
+    raise PadicAffineError(
+        "the Laplace exponent overflows a float: f or a cell's mass is too large"
+    )
 
 
 def laplace_exponent(f: StepFunction, mu: IntensityMeasure) -> float:

@@ -229,20 +229,12 @@ class StepFunction:
             return sum(((1 - v) * m for v, m in pieces), Fraction(0))
         raise ValueError(f"unknown transform {transform!r}")
 
-    def support_integral(self) -> Fraction:
-        """Exact integral of the function over all of Q_p; tail must be 0."""
-        if self.kind != REAL:
-            raise KindMismatch("integrate requires a real-valued function")
-        if self.tail != 0:
-            raise UnboundedIntegral("full-space integral needs tail 0")
-        return sum((v * b.measure for b, v in self.parts), Fraction(0))
-
     def l1_norm(self) -> Fraction:
         """Exact integral of |F| over Q_p; tail must be 0."""
         if self.kind != REAL:
             raise KindMismatch("integrate requires a real-valued function")
         if self.tail != 0:
-            raise ValueError("L1 norm needs tail 0")
+            raise UnboundedIntegral("L1 norm needs tail 0")
         return sum((abs(v) * b.measure for b, v in self.parts), Fraction(0))
 
 

@@ -114,7 +114,7 @@ def test_criterion_03_pushforward_density(capsys):
     n = 200000
     counts = [0] * len(cells)
     for _ in range(n):
-        y = g0.act_point(window.sample(4, srng))
+        y = g0.act_point(window.point(srng.randrange(3**4)))
         for i, c in enumerate(cells):
             if c.contains(y):
                 counts[i] += 1

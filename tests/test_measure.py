@@ -48,7 +48,7 @@ class TestBallImages:
         b = Fraction(rng.randint(-6, 6), rng.choice([1, p]))
         img = ball.image(a, b)
         for _ in range(25):
-            x = ball.sample(3, rng)
+            x = ball.point(rng.randrange(p**3))
             y = (x.frac + b) / a
             assert img.contains(ctx.rational(y.numerator, y.denominator))
 
@@ -153,7 +153,7 @@ class TestRoundtrip:
         ]
         counts = {id(c): 0 for c in cells}
         for _ in range(n):
-            x = window.sample(4, rng)
+            x = window.point(rng.randrange(3**4))
             y = g0.act_point(x)
             for c in cells:
                 if c.contains(y):

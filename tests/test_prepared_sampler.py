@@ -71,7 +71,7 @@ def ref_sample_config(mu, window, depth, rng):
             if threshold < acc:
                 chosen = ball
                 break
-        x = chosen.sample(depth, rng)
+        x = chosen.point(rng.randrange(mu.ctx.p**depth))
         digit_pos = depth
         while x in seen:
             step = Fraction(rng.randrange(mu.ctx.p) * mu.ctx.p**digit_pos)

@@ -294,3 +294,20 @@ class TestZeroSamples:
         poly = Polynomial(((self.f, 1),))
         with pytest.raises(PadicAffineError):
             check_factorization(self.ev, poly, samples=0, seed=1)
+
+
+class TestInfiniteExponent:
+    """expm1(709) · 27 is inf without an OverflowError; the Monte Carlo
+    replicas refuse it before any sampling."""
+
+    @pytest.mark.parametrize("check", [check_laplace_mc, check_rn_identity_mc])
+    def test_refused_before_sampling(self, check, monkeypatch):
+        ctx = ctx3()
+        f = StepFunction.make(ctx, REAL, [(Ball(ctx, 3, ()), 709)], 0)
+
+        def no_sampling(*args):
+            raise AssertionError("mc_run reached")
+
+        monkeypatch.setattr("padic_affine.representation.mc_run", no_sampling)
+        with pytest.raises(PadicAffineError):
+            check(AffineElement.identity(ctx), f, 1000, 0)

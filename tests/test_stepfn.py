@@ -143,7 +143,7 @@ class TestIntegration:
     def test_unbounded_rejected(self):
         f = StepFunction.constant(self.ctx, REAL, 1)
         with pytest.raises(UnboundedIntegral):
-            f.support_integral()
+            f.l1_norm()
 
     def test_exp_transform_against_refined_sum(self):
         """The Laplace exponent under Haar, the integral of e^f - 1, agrees
