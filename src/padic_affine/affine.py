@@ -16,7 +16,6 @@ from .padic import (
     ClopenSet,
     Padic,
     PadicContext,
-    fraction_valuation,
     split_union,
 )
 from .stepfn import PADIC, StepFunction, refine_window
@@ -159,15 +158,6 @@ class AffineElement:
         """Exact {x : g(x) x ∈ S}."""
         ind = StepFunction.indicator(s)
         return self.act_function(ind).deviation_support()
-
-    def is_measure_preserving(self) -> bool:
-        """True iff every piece maps its own ball onto itself."""
-        for ball, a_k, b_k in self.pieces():
-            if fraction_valuation(a_k, self.ctx.p) != 0:
-                return False
-            if b_k != 0 and fraction_valuation(b_k, self.ctx.p) < -ball.radius_exp:
-                return False
-        return True
 
 
 def multiply(left: AffineElement, right: AffineElement) -> AffineElement:

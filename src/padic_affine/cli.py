@@ -161,14 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(reports, cfg, extra_lines=None):
+def _emit(reports, cfg):
     """Print reports and return the exit code."""
     if cfg.as_json:
         payload = [r.to_dict() for r in reports]
         print(json.dumps(payload, indent=2))
     else:
-        for line in extra_lines or []:
-            print(line)
         for r in reports:
             flag = "AUDIT" if r.audit else ("pass" if r.passed else "FAIL")
             detail = f"defect={r.defect:.6g} tolerance={r.tolerance:g}"

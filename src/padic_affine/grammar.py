@@ -246,8 +246,9 @@ class Parser:
             self._error("counts are nonnegative")
         return (sets, op_tok.text, count)
 
-    def value(self, step_kind: str = REAL):
-        """Dispatch on the leading token; called by parse_value."""
+    def value(self):
+        """Dispatch on the leading token, reading a step function as real;
+        called by parse_value."""
         tok = self._peek()
         if tok.text == "aff":
             return self.affine()
@@ -261,7 +262,7 @@ class Parser:
             if self.tokens[i].text == "}":
                 return self.clopen()
             if self.tokens[i].text == "|":
-                return self.step(step_kind)
+                return self.step()
             depth = 0
             while self.tokens[i].kind != "eof":
                 t = self.tokens[i].text
@@ -270,7 +271,7 @@ class Parser:
                 elif t == ")":
                     depth -= 1
                 elif depth == 0 and t == ":":
-                    return self.step(step_kind)
+                    return self.step()
                 elif depth == 0 and t in (",", "}"):
                     return self.clopen()
                 i += 1
@@ -283,24 +284,15 @@ class Parser:
 # -- entry points -----------------------------------------------------------
 
 
-def parse_rational(text: str) -> Fraction:
-    p = Parser(text, PadicContext(2))
-    return p.finish(p.rational())
-
-
-def parse_ball(text: str, ctx: PadicContext) -> Ball:
-    p = Parser(text, ctx)
-    return p.finish(p.ball())
-
-
 def parse_clopen(text: str, ctx: PadicContext) -> ClopenSet:
     p = Parser(text, ctx)
     return p.finish(p.clopen())
 
 
-def parse_step(text: str, ctx: PadicContext, kind: str = REAL) -> StepFunction:
+def parse_step(text: str, ctx: PadicContext) -> StepFunction:
+    """A real step function."""
     p = Parser(text, ctx)
-    return p.finish(p.step(kind))
+    return p.finish(p.step())
 
 
 def parse_affine(text: str, ctx: PadicContext) -> AffineElement:
@@ -308,14 +300,9 @@ def parse_affine(text: str, ctx: PadicContext) -> AffineElement:
     return p.finish(p.affine())
 
 
-def parse_cylinder(text: str, ctx: PadicContext) -> CylinderFunction:
+def parse_value(text: str, ctx: PadicContext):
     p = Parser(text, ctx)
-    return p.finish(p.cylinder())
-
-
-def parse_value(text: str, ctx: PadicContext, step_kind: str = REAL):
-    p = Parser(text, ctx)
-    return p.finish(p.value(step_kind))
+    return p.finish(p.value())
 
 
 # -- printers ---------------------------------------------------------------

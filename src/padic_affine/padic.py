@@ -57,9 +57,6 @@ class PadicContext:
     def zero(self) -> "Padic":
         return Padic(self, Fraction(0))
 
-    def one(self) -> "Padic":
-        return Padic(self, Fraction(1))
-
 
 def _int_valuation(n: int, p: int) -> int:
     # n != 0
@@ -512,10 +509,6 @@ class ClopenSet:
     def __init__(self, ctx: PadicContext, balls: tuple):
         self.ctx = ctx
         self.balls = balls
-
-    @classmethod
-    def empty(cls, ctx: PadicContext) -> "ClopenSet":
-        return cls(ctx, ())
 
     @classmethod
     def of(cls, ctx: PadicContext, balls) -> "ClopenSet":

@@ -1,10 +1,11 @@
 """Poisson configurations, cylinder functionals, the V_g action and the
 Monte Carlo expectation engine.
 
-Cylinder functionals are restricted to a closed descriptor family
-(exponential, low-degree polynomial, count events) so that every identity
-check has a closed form; anything else goes through Monte Carlo. All
-sampling rates are exact rationals; floats appear only in final
+Cylinder functionals are restricted to a closed descriptor family:
+exponentials, polynomials and count events. Three shapes have a closed-form
+expectation: exponentials, polynomials of degree <= 2, and count events on
+pairwise disjoint sets; every other expectation goes through Monte Carlo.
+All sampling rates are exact rationals; floats appear only in final
 exponentials and in estimator accumulation.
 """
 
@@ -402,7 +403,13 @@ def laplace_exponent(f: StepFunction, mu: IntensityMeasure) -> float:
 
 
 def _poisson_pmf(lam: float, k: int) -> float:
-    return math.exp(-lam) * lam**k / math.factorial(k)
+    try:
+        return math.exp(-lam) * lam**k / math.factorial(k)
+    except OverflowError:
+        # lam**k or k! is past a float's range: the same term in log space
+        if lam == 0:
+            return float(k == 0)
+        return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
 
 def _predicate_prob(op: str, k: int, lam: float) -> float:
@@ -455,7 +462,7 @@ def expect_exact(f: CylinderFunction, mu: IntensityMeasure) -> float:
 _CHUNK = 4096
 _BLOCK_BYTES = 1 << 14  # random bytes one mc_run block reads at most
 _BLOCK_DRAWS = 512  # draws one mc_run block holds at most
-_UNIT = float(1 << 53)  # random() returns X / 2^53 for an integer X
+_STEP = 2.0**-53  # random() is ((w0 >> 5) * 2^26 + (w1 >> 6)) * _STEP
 _WORDS = struct.Struct("<II")  # two 32-bit outputs, as getrandbits lays them out
 _TOP_BYTE = (0xFF << 24).to_bytes(8, "little")  # a lane's top byte of u
 
@@ -497,20 +504,21 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
     is below T = floor(P(N = 0)·256) lies below P(N = 0), so its count is 0.
     Adding (256 - T) << 24 to the masked top byte of every lane carries into
     bit 32 exactly where the top byte is >= T, for all slots in one integer
-    sum; find walks those lanes, and only their uniforms are bisected, as
-    X = u·2^53 against the table entries floor(c·2^53). The work per draw is
+    sum; find walks those lanes, and only their uniforms are bisected, each
+    formed in float exactly as random() forms it, in the rate's one CDF
+    table, the PoissonVariate.table that draw reads. The work per draw is
     about atoms/256 plus the points drawn, beside C passes over its bytes.
     """
     if n < 1:
         raise PadicAffineError("Monte Carlo runs need at least one sample")
-    plan = []  # per slot: (atom index, pieces, integer table); None for later pieces
+    plan = []  # per slot: (atom index, pieces, CDF table); None for later pieces
     lift = bytearray()  # per slot: (256 - T) << 24 as one little-endian lane
     for i, (_, rate, _) in enumerate(atoms):
         variate = PoissonVariate(rate)
         # a split rate has no zero shortcut: T = 0 marks its first piece in
         # every draw, and T = 256 the rest in none
         t = int(variate.zero * 256) if variate.pieces == 1 else 0
-        plan.append((i, variate.pieces, [int(c * _UNIT) for c in variate.table]))
+        plan.append((i, variate.pieces, variate.table))
         plan.extend([None] * (variate.pieces - 1))
         lift += ((256 - t) << 24).to_bytes(8, "little")
         lift += bytes(8 * (variate.pieces - 1))
@@ -542,15 +550,17 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
             q = marked.find(1)  # q = row · slots + slot
             while q != -1:
                 r, slot = divmod(q, slots)
-                i, pieces, bounds = plan[slot]
-                size = len(bounds)
+                i, pieces, table = plan[slot]
+                size = len(table)
                 w0, w1 = words(raw, 8 * q)
-                k = bisect_left(bounds, (w0 >> 5) << 26 | w1 >> 6)
+                u = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * _STEP
+                k = bisect_left(table, u)
                 count = k if k < size else _TABLE_END + 1
                 if pieces > 1:  # a split rate sums the counts of its pieces
                     for off in range(8 * q + 8, 8 * (q + pieces), 8):
                         w0, w1 = words(raw, off)
-                        k = bisect_left(bounds, (w0 >> 5) << 26 | w1 >> 6)
+                        u = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * _STEP
+                        k = bisect_left(table, u)
                         count += k if k < size else _TABLE_END + 1
                 if count:
                     nonzero[r].append((i, count))

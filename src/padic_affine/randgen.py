@@ -11,13 +11,11 @@ from fractions import Fraction
 
 from .affine import AffineElement
 from .padic import Ball, ClopenSet, Padic, PadicContext, fraction_valuation
-from .stepfn import PADIC, REAL, StepFunction
+from .stepfn import REAL, StepFunction
 
 
-def random_rational(rng: random.Random, span: int = 12, nonzero=False) -> Fraction:
+def random_rational(rng: random.Random, span: int = 12) -> Fraction:
     num = rng.randint(-span, span)
-    while nonzero and num == 0:
-        num = rng.randint(-span, span)
     den = rng.randint(1, span)
     return Fraction(num, den)
 
@@ -35,15 +33,8 @@ def random_unit(ctx: PadicContext, rng: random.Random, span: int = 12) -> Fracti
     return Fraction(coprime(-span, span), abs(coprime(1, span)))
 
 
-def random_point(ctx: PadicContext, rng: random.Random, span: int = 30) -> Padic:
-    return Padic(ctx, random_rational(rng, span))
-
-
-def random_ball(
-    ctx: PadicContext, rng: random.Random, rmin: int = -3, rmax: int = 2
-) -> Ball:
-    center = random_point(ctx, rng)
-    return Ball.from_center(center, rng.randint(rmin, rmax))
+def random_point(ctx: PadicContext, rng: random.Random) -> Padic:
+    return Padic(ctx, random_rational(rng, 30))
 
 
 def random_disjoint_balls(
@@ -59,19 +50,17 @@ def random_disjoint_balls(
     return leaves[: min(count, len(leaves))]
 
 
-def random_clopen(
-    ctx: PadicContext, rng: random.Random, max_balls: int = 3
-) -> ClopenSet:
-    balls = random_disjoint_balls(ctx, rng, rng.randint(1, max_balls))
+def random_clopen(ctx: PadicContext, rng: random.Random) -> ClopenSet:
+    balls = random_disjoint_balls(ctx, rng, rng.randint(1, 3))
     return ClopenSet.of(ctx, balls)
 
 
 def random_test_function(
-    ctx: PadicContext, rng: random.Random, max_parts: int = 3, vspan: int = 4
+    ctx: PadicContext, rng: random.Random, vspan: int = 4
 ) -> StepFunction:
     """Real-valued, compactly supported, with moderate values (safe inside
     exponentials)."""
-    balls = random_disjoint_balls(ctx, rng, rng.randint(1, max_parts))
+    balls = random_disjoint_balls(ctx, rng, rng.randint(1, 3))
     parts = [
         (b, Fraction(rng.randint(-vspan, vspan), rng.randint(1, 3)))
         for b in balls
@@ -93,9 +82,7 @@ def random_element(
     return AffineElement.from_parts(ctx, a_parts, b_parts)
 
 
-def random_measure_preserving(
-    ctx: PadicContext, rng: random.Random, max_parts: int = 2
-) -> AffineElement:
+def random_measure_preserving(ctx: PadicContext, rng: random.Random) -> AffineElement:
     """Every piece maps its ball bijectively onto itself, so Haar is
     preserved exactly.
 
@@ -103,7 +90,7 @@ def random_measure_preserving(
     close enough to 1 that the center does not move out: for a ball B(c;k)
     the image of B under x -> (x+h)/a is B again once |h|_p <= p^k and
     |c|_p |1-a|_p <= p^k."""
-    balls = random_disjoint_balls(ctx, rng, rng.randint(1, max_parts))
+    balls = random_disjoint_balls(ctx, rng, rng.randint(1, 2))
     a_parts = []
     b_parts = []
     for b in balls:
@@ -120,15 +107,3 @@ def random_measure_preserving(
         shift = t * Fraction(ctx.p) ** (-b.radius_exp) if t else t
         b_parts.append((b, shift))
     return AffineElement.from_parts(ctx, a_parts, b_parts)
-
-
-def random_localized_shift(
-    ctx: PadicContext, rng: random.Random
-) -> tuple:
-    """(g, ball, h) with g = (1, h·1_B) and |h|_p <= radius(B)."""
-    ball = Ball(ctx, rng.randint(0, 2), ())
-    v = rng.randint(-ball.radius_exp, -ball.radius_exp + 3)
-    h = random_unit(ctx, rng, span=4) * Fraction(ctx.p) ** v
-    b = StepFunction.make(ctx, PADIC, [(ball, h)], 0)
-    a = StepFunction.constant(ctx, PADIC, 1)
-    return AffineElement(a, b), ball, h

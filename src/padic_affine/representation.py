@@ -157,7 +157,7 @@ def count_report(name, failures, trials, audit=False, note=None) -> CheckReport:
     )
 
 
-def mc_report(name, mean, se, target, seed, samples, audit=False, note=None):
+def mc_report(name, mean, se, target, seed, samples, audit=False):
     if se == 0.0:
         z = 0.0 if mean == target else float("inf")
     else:
@@ -173,7 +173,6 @@ def mc_report(name, mean, se, target, seed, samples, audit=False, note=None):
         audit=audit,
         seed=seed,
         samples=samples,
-        note=note,
     )
 
 
@@ -311,9 +310,7 @@ def find_decoupler(l1: ClopenSet, l2: ClopenSet) -> AffineElement:
     ball = Ball(ctx, shell, ())
     p = ctx.p
     h = Fraction(1, p**shell) if shell >= 0 else Fraction(p**-shell)
-    b = StepFunction.make(ctx, "padic", [(ball, h)], 0)
-    a = StepFunction.constant(ctx, "padic", 1)
-    return AffineElement(a, b)
+    return AffineElement.from_parts(ctx, [], [(ball, h)])
 
 
 def decoupler_shift(g: AffineElement):

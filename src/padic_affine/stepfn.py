@@ -97,10 +97,8 @@ class StepFunction:
         return cls(ctx, kind, (), _as_fraction(value))
 
     @classmethod
-    def indicator(cls, s: ClopenSet, value=1, kind=REAL) -> "StepFunction":
-        return cls._build(
-            s.ctx, kind, [(b, _as_fraction(value)) for b in s.balls], Fraction(0)
-        )
+    def indicator(cls, s: ClopenSet) -> "StepFunction":
+        return cls._build(s.ctx, REAL, [(b, Fraction(1)) for b in s.balls], Fraction(0))
 
     # -- identity -----------------------------------------------------------
 
@@ -152,15 +150,6 @@ class StepFunction:
             self.kind,
             [(b, _as_fraction(fn(v))) for b, v in self.parts],
             _as_fraction(fn(self.tail)),
-        )
-
-    def translate(self, h) -> "StepFunction":
-        h = _as_fraction(h.frac if isinstance(h, Padic) else h)
-        return StepFunction._build(
-            self.ctx,
-            self.kind,
-            [(b.translate(h), v) for b, v in self.parts],
-            self.tail,
         )
 
     def combine(self, other: "StepFunction", op: str) -> "StepFunction":

@@ -45,7 +45,7 @@ from .representation import (
     find_decoupler,
     mc_report,
 )
-from .stepfn import PADIC, REAL, StepFunction
+from .stepfn import REAL, StepFunction
 
 
 def group_axiom_trials(ctx, rng, trials) -> CheckReport:
@@ -243,10 +243,7 @@ def support_shift_trials(ctx, rng, trials) -> CheckReport:
         if not support.subtract(ClopenSet.of(ctx, [ball])).is_empty:
             continue  # keep only supp f inside B
         h = random_in_ball_shift(ctx, rng, ball)
-        g = AffineElement(
-            StepFunction.constant(ctx, PADIC, 1),
-            StepFunction.make(ctx, PADIC, [(ball, h)], 0),
-        )
+        g = AffineElement.from_parts(ctx, [], [(ball, h)])
         shifted = g.act_function(f).deviation_support()
         target = support.translate(-h)
         if not shifted.subtract(target).is_empty:
@@ -281,8 +278,8 @@ def sampler_reports(ctx, seed, samples) -> list:
     lam = 1.0 / ctx.p
     reports = []
     worst = 0.0
-    for i, series in enumerate(counts):
-        mean = sum(series) / n
+    means = [sum(s) / n for s in counts]
+    for mean in means:
         se = math.sqrt(lam / n)
         worst = max(worst, abs(mean - lam) / se)
     reports.append(mc_report("sampler-child-means", worst, 1.0, 0.0, seed, n))
@@ -290,8 +287,7 @@ def sampler_reports(ctx, seed, samples) -> list:
     worst_cov = 0.0
     for i in range(p):
         for j in range(i + 1, p):
-            mi = sum(counts[i]) / n
-            mj = sum(counts[j]) / n
+            mi, mj = means[i], means[j]
             prods = [
                 (a - mi) * (b - mj)
                 for a, b in zip(counts[i], counts[j])

@@ -65,13 +65,18 @@ def wide_function(ctx, rng, n, tail=0, lo=-4, root_exp=1):
     return StepFunction.make(ctx, REAL, parts, tail)
 
 
+def random_ball(ctx, rng, rmin, rmax):
+    """A ball of radius exponent rmin..rmax around a random rational."""
+    return Ball.from_center(randgen.random_point(ctx, rng), rng.randint(rmin, rmax))
+
+
 def query_balls(ctx, rng, balls):
     """Ancestors and descendants of indexed balls, random balls, balls
     larger than every indexed ball and balls of negative radius_exp."""
     out = [Ball(ctx, 40, ()), Ball(ctx, -3, ())]
     for b in balls[:6]:
         out += [b, b.parent(), b.parent().parent(), b.children()[-1]]
-    out += [randgen.random_ball(ctx, rng, -4, 3) for _ in range(10)]
+    out += [random_ball(ctx, rng, -4, 3) for _ in range(10)]
     out.append(Ball.from_center(ctx.rational(1, ctx.p**6), 2))
     return out
 

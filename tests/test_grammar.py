@@ -4,15 +4,29 @@ import pytest
 
 from padic_affine.errors import ParseError
 from padic_affine.grammar import (
+    Parser,
     format_value,
-    parse_ball,
     parse_clopen,
-    parse_cylinder,
-    parse_rational,
     parse_step,
     parse_value,
 )
 from padic_affine.padic import PadicContext
+
+
+def parse_rational(text):
+    p = Parser(text, PadicContext(2))
+    return p.finish(p.rational())
+
+
+def parse_ball(text, ctx):
+    p = Parser(text, ctx)
+    return p.finish(p.ball())
+
+
+def parse_cylinder(text, ctx):
+    p = Parser(text, ctx)
+    return p.finish(p.cylinder())
+
 
 # the shared corpus: every entry must survive parse -> print -> parse with
 # the printed form fixed under a second round trip

@@ -229,7 +229,7 @@ class TestClopen:
             for _ in range(rng.randint(1, 3)):
                 c = Fraction(rng.randint(-20, 20), rng.choice([1, p, p * p]))
                 balls.append(Ball.from_center(Padic(ctx, c), rng.randint(-2, 1)))
-            out = ClopenSet.empty(ctx)
+            out = ClopenSet(ctx, ())
             for b in balls:
                 out = out.union(ClopenSet.of(ctx, [b]))
             return out

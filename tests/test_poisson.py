@@ -123,6 +123,27 @@ class TestExactExpectations:
         ge2 = expect_exact(CountEvent(((s, ">=", 2),)), self.haar)
         assert le1 + ge2 == pytest.approx(1.0, rel=1e-12)
 
+    def test_count_past_float_factorial(self):
+        """171! and 243^130 exceed a float: such terms of the Poisson law are
+        taken in log space, against the float recurrence p_k = p_{k-1}·lam/k."""
+        s = ClopenSet.of(self.ctx, [self.z])
+        assert expect_exact(CountEvent(((s, "<=", 171),)), self.haar) == 1.0
+        wide = ClopenSet.of(self.ctx, [Ball(self.ctx, 5, ())])  # lam = 3^5
+        terms = [math.exp(-243.0)]
+        for k in range(1, 244):
+            terms.append(terms[-1] * 243.0 / k)
+        eq = expect_exact(CountEvent(((wide, "=", 243),)), self.haar)
+        le = expect_exact(CountEvent(((wide, "<=", 243),)), self.haar)
+        assert eq == pytest.approx(terms[-1], rel=1e-10)
+        assert le == pytest.approx(math.fsum(terms), rel=1e-10)
+
+    def test_count_past_float_factorial_at_zero_rate(self):
+        """With lam = 0, N = 0 surely, for every k."""
+        s = ClopenSet.of(self.ctx, [self.z])
+        void = IntensityMeasure(StepFunction.make(self.ctx, REAL, [(self.z, 0)], 1))
+        for op, want in (("=", 0.0), ("<=", 1.0), (">=", 0.0)):
+            assert expect_exact(CountEvent(((s, op, 171),)), void) == want
+
     def test_disjoint_events_factorize(self):
         kids = self.z.children()
         s1 = ClopenSet.of(self.ctx, [kids[0]])

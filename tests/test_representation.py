@@ -39,9 +39,9 @@ from padic_affine.poisson import mc_run
 from padic_affine.randgen import (
     random_clopen,
     random_element,
-    random_localized_shift,
     random_measure_preserving,
     random_test_function,
+    random_unit,
 )
 from padic_affine.representation import decoupler_shift
 from padic_affine.stepfn import REAL
@@ -51,6 +51,14 @@ PRIMES = [2, 3, 5]
 
 def ctx3():
     return PadicContext(3)
+
+
+def random_localized_shift(ctx, rng):
+    """(g, ball, h) with g = (1, h·1_B) and |h|_p <= radius(B)."""
+    ball = Ball(ctx, rng.randint(0, 2), ())
+    v = rng.randint(-ball.radius_exp, -ball.radius_exp + 3)
+    h = random_unit(ctx, rng, span=4) * Fraction(ctx.p) ** v
+    return AffineElement.from_parts(ctx, [], [(ball, h)]), ball, h
 
 
 def contracting(ctx):

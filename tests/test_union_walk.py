@@ -13,9 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_ball_index import disjoint_balls, ref_subtract
+from test_ball_index import disjoint_balls, random_ball, ref_subtract
 
-from padic_affine import randgen
 from padic_affine.errors import PadicAffineError
 from padic_affine.measure import IntensityMeasure
 from padic_affine.padic import (
@@ -65,7 +64,7 @@ def related_balls(ctx, rng, balls, n):
         elif kind == 2:
             out.append(b.parent())
         else:
-            out.append(randgen.random_ball(ctx, rng, -3, 2))
+            out.append(random_ball(ctx, rng, -3, 2))
     return out
 
 
@@ -193,7 +192,7 @@ def test_sets_disjoint_cases(p):
     z = ClopenSet.of(ctx, [Ball(ctx, 0, ())])
     inner = ClopenSet.of(ctx, [Ball(ctx, -2, ())])
     apart = ClopenSet.of(ctx, [Ball.from_center(ctx.rational(1, p), 0)])
-    empty = ClopenSet.empty(ctx)
+    empty = ClopenSet(ctx, ())
 
     def disjoint(*sets):
         return CountEvent(tuple((s, EQ, 0) for s in sets)).sets_disjoint()

@@ -49,7 +49,7 @@ def ref_hull(ctx, *sets) -> ClopenSet:
             r = max(r, s.enclosing_zero_exp())
             empty = False
     if empty:
-        return ClopenSet.empty(ctx)
+        return ClopenSet(ctx, ())
     return ClopenSet.of(ctx, [Ball(ctx, r, ())])
 
 
@@ -85,7 +85,7 @@ def some_function(ctx, rng, tail=0, lo=-4):
 
 def some_set(ctx, rng):
     if rng.random() < 0.2:
-        return ClopenSet.empty(ctx)
+        return ClopenSet(ctx, ())
     return ClopenSet.of(ctx, some_balls(ctx, rng))
 
 
@@ -112,7 +112,7 @@ def test_window_cells_match_hull_of_supports(p, seed):
 def test_constant_inputs_have_no_cells(p):
     ctx = PadicContext(p)
     haar = IntensityMeasure.haar(ctx)
-    fns = [StepFunction.constant(ctx, REAL, 0), ClopenSet.empty(ctx)]
+    fns = [StepFunction.constant(ctx, REAL, 0), ClopenSet(ctx, ())]
     assert window_cells(haar, fns) == [] == ref_window_cells(haar, fns)
     assert window_cells(haar, []) == []
 
