@@ -322,16 +322,17 @@ class PreparedDraw:
         return bisect_right(weights, num * weights[-1] // den)
 
 
-def sample_config(
+def sample_keys(
     mu: IntensityMeasure, window: ClopenSet, depth: int, rng: random.Random
-) -> Configuration:
-    """One Poisson configuration on the window with intensity rho·m.
+) -> tuple:
+    """One Poisson draw on the window with intensity rho·m, as digit keys:
+    (balls, keys), the atom balls of the prepared draw and the distinct keys
+    (atom index, m) in draw order, key (i, m) naming the point balls[i].point(m).
 
-    Atom rates are exact rationals; the atom choice compares the uniform
-    draw against exact cumulative weights. The prepared draw is kept on mu
-    for the next call with an equal window. Points are keyed (atom index, m)
-    for atom.point(m); duplicates (possible only through finite depth) are
-    resampled.
+    This is the one draw loop. Atom rates are exact rationals; the atom
+    choice compares the uniform draw against exact cumulative weights. The
+    prepared draw is kept on mu for the next call with an equal window.
+    Duplicate keys (possible only through finite depth) get more digits.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -339,7 +340,7 @@ def sample_config(
     if draw is None or draw.window != window:
         draw = mu.prepared = PreparedDraw(mu, window)
     if draw.variate is None:
-        return Configuration((), window)
+        return draw.balls, []
     p = mu.ctx.p
     n = draw.variate.draw(rng.random)
     drawn = {}  # (atom index, m) in draw order
@@ -354,8 +355,16 @@ def sample_config(
             m += rng.randrange(p) * p**digit_pos
             digit_pos += 1
         drawn[atom, m] = None
-    balls = draw.balls
-    return Configuration(tuple(balls[i].point(m) for i, m in drawn), window)
+    return draw.balls, list(drawn)
+
+
+def sample_config(
+    mu: IntensityMeasure, window: ClopenSet, depth: int, rng: random.Random
+) -> Configuration:
+    """One Poisson configuration on the window with intensity rho·m: the
+    points of sample_keys, built and validated as a Configuration."""
+    balls, keys = sample_keys(mu, window, depth, rng)
+    return Configuration(tuple(balls[i].point(m) for i, m in keys), window)
 
 
 # -- exact expectations -----------------------------------------------------
@@ -415,9 +424,8 @@ def _poisson_pmf(lam: float, k: int) -> float:
 def _predicate_prob(op: str, k: int, lam: float) -> float:
     if op == EQ:
         return _poisson_pmf(lam, k)
-    cdf = sum(_poisson_pmf(lam, j) for j in range(k + 1))
     if op == LE:
-        return cdf
+        return sum(_poisson_pmf(lam, j) for j in range(k + 1))
     return 1.0 - sum(_poisson_pmf(lam, j) for j in range(k))
 
 

@@ -18,7 +18,7 @@ from .poisson import (
     CountEvent,
     Exponential,
     required_depth,
-    sample_config,
+    sample_keys,
 )
 from .randgen import (
     random_clopen,
@@ -251,31 +251,40 @@ def support_shift_trials(ctx, rng, trials) -> CheckReport:
     return count_report("support-shift", failures, trials)
 
 
-def sampler_reports(ctx, seed, samples) -> list:
-    """Moment and independence z-checks for the Poisson sampler; a worst
-    z-score is reported as its own mean with unit standard error."""
+def sampler_counts(ctx, seed, samples) -> tuple:
+    """(counts, voids) over `samples` Haar draws on Z_p: the point count of
+    each draw in each child of Z_p, one series per child in digit order,
+    and the number of empty draws."""
     haar = IntensityMeasure.haar(ctx)
     z = Ball(ctx, 0, ())
     window = ClopenSet.of(ctx, [z])
     depth = required_depth([window], z) + 1
     rng = random.Random(f"sampler:{seed}")
     p = ctx.p
-    counts = [[] for _ in range(p)]  # per child of Z_p, in digit order
+    counts = [[] for _ in range(p)]
     voids = 0
-    n = samples
-    for _ in range(n):
-        cfg = sample_config(haar, window, depth, rng)
-        if not cfg.points:
+    for _ in range(samples):
+        _, keys = sample_keys(haar, window, depth, rng)
+        if not keys:
             voids += 1
-        # the child of Z_p holding x is named by the digit of x at position
-        # 0, which is x mod p; x lies in Z_p, so p divides no denominator
+        # Haar on Z_p has the one atom Z_p, whose point(m) is the integer m;
+        # the child of Z_p holding it is named by its digit at position 0,
+        # m mod p, which collision digits (added at positions >= depth) keep
         tally = [0] * p
-        for x in cfg.points:
-            q = x.frac
-            tally[q.numerator * pow(q.denominator, -1, p) % p] += 1
+        for _, m in keys:
+            tally[m % p] += 1
         for series, c in zip(counts, tally):
             series.append(c)
-    lam = 1.0 / ctx.p
+    return counts, voids
+
+
+def sampler_reports(ctx, seed, samples) -> list:
+    """Moment and independence z-checks for the Poisson sampler; a worst
+    z-score is reported as its own mean with unit standard error."""
+    counts, voids = sampler_counts(ctx, seed, samples)
+    p = ctx.p
+    n = samples
+    lam = 1.0 / p
     reports = []
     worst = 0.0
     means = [sum(s) / n for s in counts]

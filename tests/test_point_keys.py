@@ -2,8 +2,9 @@
 the index builds of the set algebra.
 
 Ball.contains is checked against the valuation rule it replaces, kept here
-as the reference; sample_config against test_prepared_sampler's reference
-on windows small enough in digits to force collisions.
+as the reference; sample_config and sample_keys against
+test_prepared_sampler's reference on windows small enough in digits to force
+collisions.
 """
 
 import random
@@ -26,7 +27,7 @@ from padic_affine.padic import (
     fraction_valuation,
     split_union,
 )
-from padic_affine.poisson import sample_config
+from padic_affine.poisson import sample_config, sample_keys
 
 PRIMES = [2, 3, 5]
 
@@ -114,11 +115,13 @@ def test_sampler_matches_reference_under_collisions(p, depth, keyed):
     haar = IntensityMeasure.haar(ctx)
     collided = False
     for seed in range(5):
-        ours, ref = random.Random(seed), random.Random(seed)
+        ours, ref, bare = random.Random(seed), random.Random(seed), random.Random(seed)
         got = sample_config(haar, window, depth, ours)
         want = ref_sample_config(haar, window, depth, ref)
+        atoms, keys = sample_keys(haar, window, depth, bare)
         assert got.points == want.points
-        assert ours.getstate() == ref.getstate()
+        assert tuple(atoms[i].point(m) for i, m in keys) == got.points
+        assert ours.getstate() == ref.getstate() == bare.getstate()
         # more points than residues at this depth: some draws collided
         collided |= len(got.points) > len(balls) * p**depth
     assert collided

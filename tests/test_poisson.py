@@ -25,7 +25,15 @@ from padic_affine import (
     sample_config,
 )
 from padic_affine.errors import PadicAffineError, UnsupportedShape, WindowMismatch
-from padic_affine.poisson import laplace_exponent
+from padic_affine import poisson
+from padic_affine.poisson import (
+    EQ,
+    GE,
+    LE,
+    _poisson_pmf,
+    _predicate_prob,
+    laplace_exponent,
+)
 from padic_affine.stepfn import REAL
 
 
@@ -186,6 +194,43 @@ class TestExactExpectations:
         f = indicator_step(self.ctx, self.z, Fraction(1))
         with pytest.raises(UnsupportedShape):
             expect_exact(Polynomial(((f, 3),)), self.haar)
+
+
+def ref_predicate_prob(op, k, lam):
+    """P(N op k) for N ~ Poisson(lam), summing the <= CDF for >= too."""
+    if op == EQ:
+        return _poisson_pmf(lam, k)
+    cdf = sum(_poisson_pmf(lam, j) for j in range(k + 1))
+    if op == LE:
+        return cdf
+    return 1.0 - sum(_poisson_pmf(lam, j) for j in range(k))
+
+
+PREDICATE_KS = [0, 1, 5, 170, 171, 2000]
+PREDICATE_RATES = [0.0, 0.5, 3.0, 745.0]
+
+
+@pytest.mark.parametrize("op", [EQ, LE, GE])
+def test_predicate_prob_matches_reference(op):
+    for k in PREDICATE_KS:
+        for lam in PREDICATE_RATES:
+            got = _predicate_prob(op, k, lam)
+            assert repr(got) == repr(ref_predicate_prob(op, k, lam)), (k, lam)
+
+
+def test_predicate_ge_sums_k_terms(monkeypatch):
+    calls = [0]
+
+    def counted(lam, k):
+        calls[0] += 1
+        return _poisson_pmf(lam, k)
+
+    monkeypatch.setattr(poisson, "_poisson_pmf", counted)
+    for k in PREDICATE_KS:
+        for lam in PREDICATE_RATES:
+            calls[0] = 0
+            _predicate_prob(GE, k, lam)
+            assert calls[0] == k, (k, lam)
 
 
 class TestSampler:

@@ -272,27 +272,71 @@ def test_refine_window_once_per_measure_and_window(monkeypatch):
 
 
 def test_sampler_reports_make_no_per_child_contains(monkeypatch):
-    contains = [0]
-    points = [0]
-    original_contains = padic.Ball.contains
-    original_sample = suite.sample_config
+    # the sampler check tallies digit keys: it builds no point, so it makes
+    # no window check and no per-child membership test
+    calls = {"point": 0, "contains": 0}
+    keys_drawn = [0]
+    original_keys = suite.sample_keys
 
-    def counted_contains(self, x):
-        contains[0] += 1
-        return original_contains(self, x)
+    def counted_keys(*args):
+        balls, keys = original_keys(*args)
+        keys_drawn[0] += len(keys)
+        return balls, keys
 
-    def counted_sample(*args):
-        cfg = original_sample(*args)
-        points[0] += len(cfg)
-        return cfg
+    def counting(name):
+        original = getattr(padic.Ball, name)
 
-    monkeypatch.setattr(padic.Ball, "contains", counted_contains)
-    monkeypatch.setattr(suite, "sample_config", counted_sample)
-    reports = suite.sampler_reports(PadicContext(3), 0, 1000)
-    assert len(reports) == 3
-    assert points[0] > 0
-    # one window check per point in Configuration, none per child of Z_p
-    assert contains[0] == points[0]
+        def counted(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(padic.Ball, name, counting(name))
+    monkeypatch.setattr(suite, "sample_keys", counted_keys)
+    for p in PRIMES:
+        keys_drawn[0] = 0
+        reports = suite.sampler_reports(PadicContext(p), 0, 1000)
+        assert len(reports) == 3
+        assert keys_drawn[0] > 0
+        assert calls == {"point": 0, "contains": 0}, p
+
+
+def ref_child_counts(ctx, seed, n):
+    """The sampler check's tally by Fraction points: each configuration of
+    sample_config on Z_p counted per child as numerator/denominator mod p."""
+    haar = IntensityMeasure.haar(ctx)
+    z = Ball(ctx, 0, ())
+    window = ClopenSet.of(ctx, [z])
+    depth = required_depth([window], z) + 1
+    rng = random.Random(f"sampler:{seed}")
+    p = ctx.p
+    counts = [[] for _ in range(p)]
+    voids = 0
+    for _ in range(n):
+        cfg = sample_config(haar, window, depth, rng)
+        if not cfg.points:
+            voids += 1
+        tally = [0] * p
+        for x in cfg.points:
+            q = x.frac
+            tally[q.numerator * pow(q.denominator, -1, p) % p] += 1
+        for series, c in zip(counts, tally):
+            series.append(c)
+    return counts, voids
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_sampler_key_tally_matches_fraction_points(p):
+    ctx = PadicContext(p)
+    z = Ball(ctx, 0, ())
+    haar = IntensityMeasure.haar(ctx)
+    balls, _ = poisson.sample_keys(haar, ClopenSet.of(ctx, [z]), 2, random.Random(0))
+    assert balls == [z]  # Z_p.point(m) is the integer m
+    for seed in range(5):
+        got = suite.sampler_counts(ctx, seed, 2000)
+        assert got == ref_child_counts(ctx, seed, 2000), seed
 
 
 # -- the command line ------------------------------------------------------------------
