@@ -16,9 +16,8 @@ from .padic import (
     ClopenSet,
     Padic,
     PadicContext,
-    split_union,
 )
-from .stepfn import PADIC, StepFunction, refine_window
+from .stepfn import PADIC, StepFunction, refine_window, union_cells
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,8 @@ class AffineElement:
         if f.ctx.p != self.ctx.p:
             raise ContextMismatch("function from a different context")
         # g fixes every point outside its hull, so over a ball that also
-        # holds f's parts the cells outside the hull keep f's values
+        # holds f's parts the cells outside the hull keep f's values, and
+        # so does every piece where (a_k, b_k) = (1, 0)
         r = max(self.enclosing_exp(), f.enclosing_exp())
         index = BallIndex(f.parts)
         parts = []
@@ -143,15 +143,17 @@ class AffineElement:
             # x -> (x + b_k)/a_k maps cell onto img and keeps every ball
             # relation, so {x in cell : (x + b_k)/a_k in C_j} is all of cell
             # when C_j contains img, else a_k C_j - b_k for C_j inside img
-            img = cell.image(a_k, b_k)
+            moved = a_k != 1 or b_k != 0
+            img = cell.image(a_k, b_k) if moved else cell
             hit = index.covering(img)
             if hit is not None:
                 parts.append((cell, hit[1]))
                 continue
-            inv_a, shift = 1 / a_k, -b_k / a_k
-            parts.extend(
-                (c_j.image(inv_a, shift), v_j) for c_j, v_j in index.inside(img)
-            )
+            inner = index.inside(img)
+            if moved:
+                inv_a, shift = 1 / a_k, -b_k / a_k
+                inner = [(c_j.image(inv_a, shift), v_j) for c_j, v_j in inner]
+            parts.extend(inner)
         return StepFunction._build(self.ctx, f.kind, parts, f.tail)
 
     def preimage_clopen(self, s: ClopenSet) -> ClopenSet:
@@ -183,10 +185,8 @@ def _inverse_law(a, b) -> tuple:
 def _pointwise(ctx, fns: tuple, law) -> AffineElement:
     """(a, b) = law(*values) on each cell of one union walk over the parts of
     fns, and law(*tails) off them: the Fraction tails keep values Fractions."""
-    tails = tuple(fn.tail for fn in fns)
-    entries = [(ball, slot, v) for slot, fn in enumerate(fns) for ball, v in fn.parts]
-    cells = [(cell, law(*values)) for cell, values in split_union(entries, tails)]
-    a_tail, b_tail = law(*tails)
+    cells = [(cell, law(*values)) for cell, values in union_cells(fns)]
+    a_tail, b_tail = law(*(fn.tail for fn in fns))
     return AffineElement(
         StepFunction._build(ctx, PADIC, [(c, ab[0]) for c, ab in cells], a_tail),
         StepFunction._build(ctx, PADIC, [(c, ab[1]) for c, ab in cells], b_tail),

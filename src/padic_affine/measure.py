@@ -1,10 +1,12 @@
 """Haar measure, intensity measures with step densities, and pushforwards.
 
 The pushforward of an intensity rho·m under a group element g has again a
-step density: on each cell B_k of the joint refinement of a, b and rho, where
-they take the values a_k, b_k and r_k, the cell contributes |a_k|_p · r_k on
-its image ball C_k = (B_k + b_k)/a_k, and overlapping contributions sum.
-With rho = 1 this is the exact density rho_g of g* m.
+step density. Off the parts of a, b and rho, g fixes every point and rho is
+1, so the density stays 1 there. Each cell B_k of the union of those parts,
+where they take the values a_k, b_k and r_k, gives up its unit density and
+contributes |a_k|_p · r_k on its image ball C_k = (B_k + b_k)/a_k, and
+overlapping contributions sum. With rho = 1 this is the exact density rho_g
+of g* m.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from fractions import Fraction
 
 from .affine import AffineElement
 from .errors import PadicAffineError
-from .padic import Ball, ClopenSet, PadicContext, fraction_abs_p
-from .stepfn import REAL, StepFunction, refine_window
+from .padic import ClopenSet, PadicContext, fraction_abs_p
+from .stepfn import REAL, StepFunction, union_cells
 
 
 class IntensityMeasure:
@@ -69,21 +71,20 @@ class IntensityMeasure:
 
 
 def pushforward(mu: IntensityMeasure, g: AffineElement) -> IntensityMeasure:
-    """Exact step density of g*(rho·m); overlaps are summed on a common
+    """Exact step density of g*(rho·m), read on the cells of one union
+    walk over the parts of a, b and rho; overlaps are summed on a common
     refinement, so total mass over the moved region is conserved."""
     ctx = mu.ctx
-    rho = mu.density
-    r = max(g.enclosing_exp(), rho.enclosing_exp())
-    hull = Ball(ctx, r, ())
-    cells = refine_window(ClopenSet(ctx, (hull,)), [g.a, g.b, rho])
-    # outside the moved hull rho is 1 already; inside it the contributions
-    # of all cells are summed in one pass. y in cell.image(a, b) pulls back
-    # to a·y - b in the cell, where a, b and rho are constant
-    entries = [(hull, Fraction(-1))]
-    entries.extend(
-        (cell.image(a, b), fraction_abs_p(a, ctx.p) * v)
-        for cell, (a, b, v) in cells
-    )
+    # the contributions of all cells are summed in one pass. A cell that g
+    # fixes changes its density by v - 1 in place; y in cell.image(a, b)
+    # pulls back to a·y - b in the cell, where a, b and rho are constant
+    entries = []
+    for cell, (a, b, v) in union_cells((g.a, g.b, mu.density)):
+        if a == 1 and b == 0:
+            entries.append((cell, v - 1))
+        else:
+            entries.append((cell, Fraction(-1)))
+            entries.append((cell.image(a, b), fraction_abs_p(a, ctx.p) * v))
     total = StepFunction.overlay(ctx, REAL, entries, Fraction(1))
     assert all(v >= 0 for _, v in total.parts)
     return IntensityMeasure(total)

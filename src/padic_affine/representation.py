@@ -220,8 +220,8 @@ def check_rn_identity_mc(
     g: AffineElement, f: StepFunction, samples: int, seed: int
 ) -> CheckReport:
     """Monte Carlo replica: rn_density as an importance weight under pi_m."""
-    mu = pushforward(IntensityMeasure.haar(g.ctx), g)
     haar = IntensityMeasure.haar(g.ctx)
+    mu = pushforward(haar, g)
     # the target first: past a float's range the check is refused before
     # any sampling
     target = exp_checked(laplace_exponent(f, mu))

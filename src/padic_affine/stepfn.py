@@ -170,9 +170,7 @@ class StepFunction:
             return self
         if not self.parts and self.tail == unit:
             return other
-        entries = [(b, 0, v) for b, v in self.parts]
-        entries.extend((b, 1, v) for b, v in other.parts)
-        cells = split_union(entries, (self.tail, other.tail))
+        cells = union_cells((self, other))
         # on most cells one operand holds its tail, often the identity of op;
         # comparing with it is cheaper than an exact Fraction operation
         return StepFunction._build(
@@ -225,6 +223,14 @@ class StepFunction:
         if self.tail != 0:
             raise UnboundedIntegral("L1 norm needs tail 0")
         return sum((abs(v) * b.measure for b, v in self.parts), Fraction(0))
+
+
+def union_cells(fns) -> list:
+    """split_union over the parts of the step functions fns, with their
+    tails as defaults: (cell, per-function values) on a partition of the
+    set where some function leaves its tail."""
+    entries = [(b, slot, v) for slot, fn in enumerate(fns) for b, v in fn.parts]
+    return split_union(entries, tuple(fn.tail for fn in fns))
 
 
 def refine_window(window: ClopenSet, fns: list) -> list:

@@ -57,6 +57,29 @@ def wide_element(ctx, rng, n):
     return AffineElement.from_parts(ctx, a_parts, b_parts)
 
 
+def split_element(ctx, rng, n):
+    """a and b on different balls, so some pieces move by a alone, some by b
+    alone, and some by both where a ball of b lies inside one of a."""
+    balls = randgen.random_disjoint_balls(ctx, rng, n, splits=n // 2)
+    cut = rng.randint(0, len(balls))
+    a_balls, b_balls = balls[:cut], balls[cut:]
+    b_balls += [rng.choice(b.children()) for b in a_balls[: len(a_balls) // 2]]
+    a_parts = [
+        (b, randgen.random_unit(ctx, rng, 6) * Fraction(ctx.p) ** rng.randint(-1, 1))
+        for b in a_balls
+    ]
+    b_parts = [(b, randgen.random_rational(rng, 6)) for b in b_balls]
+    return AffineElement.from_parts(ctx, a_parts, b_parts)
+
+
+# elements by family; a measure-preserving one maps each piece onto itself
+ELEMENTS = {
+    "wide": wide_element,
+    "split": split_element,
+    "preserving": lambda ctx, rng, n: randgen.random_measure_preserving(ctx, rng),
+}
+
+
 def wide_function(ctx, rng, n, tail=0, lo=-4, root_exp=1):
     parts = [
         (b, Fraction(rng.randint(lo, 4), rng.randint(1, 3)))
@@ -327,25 +350,32 @@ class TestAgainstPairwise:
         assert f + g == ref_combine(f, g, lambda u, v: u + v)
         assert f * g == ref_combine(f, g, lambda u, v: u * v)
 
-    @given(**cases)
+    @given(**cases, kind=st.sampled_from(sorted(ELEMENTS)))
     @settings(max_examples=25, deadline=None)
-    def test_act_function(self, p, seed, n):
+    def test_act_function(self, p, seed, n, kind):
         ctx = PadicContext(p)
         rng = random.Random(seed)
-        g = wide_element(ctx, rng, n)
+        g = ELEMENTS[kind](ctx, rng, n)
         # parts of f may also contain the hull of g or lie outside it
         f = wide_function(ctx, rng, rng.randint(1, n), root_exp=rng.randint(-1, 4))
         assert g.pieces() == ref_pieces(g, g.enclosing_exp())
         assert g.act_function(f) == ref_act_function(g, f)
 
-    @given(**cases)
+    @given(**cases, kind=st.sampled_from(sorted(ELEMENTS)))
     @settings(max_examples=25, deadline=None)
-    def test_pushforward(self, p, seed, n):
+    def test_pushforward(self, p, seed, n, kind):
         ctx = PadicContext(p)
         rng = random.Random(seed)
-        g = wide_element(ctx, rng, n)
+        g = ELEMENTS[kind](ctx, rng, n)
         mu = IntensityMeasure(wide_function(ctx, rng, rng.randint(1, n), 1, 0))
         assert pushforward(mu, g).density == ref_pushforward(mu, g)
+        # a density with parts that may contain g's hull or lie outside it
+        wide = wide_function(ctx, rng, rng.randint(1, n), 1, 0, rng.randint(2, 4))
+        mu = IntensityMeasure(wide)
+        assert pushforward(mu, g).density == ref_pushforward(mu, g)
+        # the second pushforward of check_isometry starts from g^{-1}*m
+        back = pushforward(IntensityMeasure.haar(ctx), g.inverse())
+        assert pushforward(back, g).density == ref_pushforward(back, g)
 
     @given(**cases)
     @settings(max_examples=30, deadline=None)

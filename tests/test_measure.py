@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,12 @@ from padic_affine import (
     roundtrip_defect,
 )
 from padic_affine.padic import fraction_valuation
-from padic_affine.randgen import random_element, random_measure_preserving
-from padic_affine.stepfn import REAL
+from padic_affine.randgen import (
+    random_element,
+    random_measure_preserving,
+    random_test_function,
+)
+from padic_affine.stepfn import REAL, union_cells
 
 PRIMES = [2, 3, 5]
 
@@ -137,6 +142,48 @@ class TestConservation:
         assert maps_pieces_onto_themselves(g)
         mu = pushforward(haar(ctx), g)
         assert mu.l1_deviation() == 0
+
+
+class TestFixedPieces:
+    """g fixes every point where (a, b) = (1, 0): such a cell keeps its
+    density and f's values without an image ball."""
+
+    @pytest.fixture
+    def images(self, monkeypatch):
+        """The balls Ball.image is called on while the test runs."""
+        calls = []
+        image = Ball.image
+
+        def counted(ball, a_val, b_val):
+            calls.append(ball)
+            return image(ball, a_val, b_val)
+
+        monkeypatch.setattr(Ball, "image", counted)
+        return calls
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_identity_makes_no_image(self, p, images):
+        ctx = PadicContext(p)
+        g = AffineElement.identity(ctx)
+        f = random_test_function(ctx, random.Random(p))
+        mu = IntensityMeasure(f.map_values(lambda v: v * v + 1))
+        assert pushforward(haar(ctx), g) == haar(ctx)
+        assert pushforward(mu, g) == mu
+        assert g.act_function(f) == f
+        assert not images
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_pushforward_images_moved_cells_once(self, p, images):
+        ctx = PadicContext(p)
+        rng = random.Random(f"moved-{p}")
+        for _ in range(20):
+            g = random_element(ctx, rng)
+            moved = [
+                cell for cell, (a, b) in union_cells([g.a, g.b]) if (a, b) != (1, 0)
+            ]
+            images.clear()
+            pushforward(haar(ctx), g)
+            assert sorted(images, key=Ball.sort_key) == sorted(moved, key=Ball.sort_key)
 
 
 class TestRoundtrip:

@@ -167,11 +167,12 @@ def test_subtract_builds_one_index(index_builds):
 
 
 def test_haar_pushforward_index_builds(index_builds):
-    # three for the refinement of (a, b, rho), one for the overlay
+    # one for the union walk over the parts of (a, b, rho), one for the
+    # overlay
     ctx = PadicContext(3)
     rng = random.Random("index-builds")
     for _ in range(5):
         g = randgen.random_element(ctx, rng)
         index_builds.clear()
         pushforward(IntensityMeasure.haar(ctx), g)
-        assert len(index_builds) == 4
+        assert len(index_builds) == 2
