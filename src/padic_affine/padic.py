@@ -468,6 +468,24 @@ def split_union(entries, values: tuple, index: BallIndex = None) -> list:
     return cells
 
 
+def read_parts(fn) -> tuple:
+    """(parts, tail) of a step function, or of a clopen set read as its
+    indicator: each ball valued True, tail False. The one place a clopen set
+    turns into parts."""
+    if isinstance(fn, ClopenSet):
+        return [(b, True) for b in fn.balls], False
+    return fn.parts, fn.tail
+
+
+def union_cells(fns) -> list:
+    """split_union over the parts of the step functions or clopen sets fns,
+    one slot each, with their tails as defaults: (cell, per-function values)
+    on a partition of the set where some function leaves its tail."""
+    read = [read_parts(fn) for fn in fns]
+    entries = [(b, slot, v) for slot, (parts, _) in enumerate(read) for b, v in parts]
+    return split_union(entries, tuple(tail for _, tail in read))
+
+
 def merge_siblings(ctx: PadicContext, parts: list) -> tuple:
     """Disjoint (ball, value) pairs with every complete family of p sibling
     balls of one value merged into their parent, until none is left, sorted
@@ -542,10 +560,9 @@ class ClopenSet:
     def contains(self, x: Padic) -> bool:
         return any(b.contains(x) for b in self.balls)
 
-    def enclosing_zero_exp(self, default: int = 0) -> int:
-        if not self.balls:
-            return default
-        return max(b.enclosing_zero_exp() for b in self.balls)
+    def enclosing_zero_exp(self) -> int:
+        """Smallest R with every ball inside B(0; R); 0 for the empty set."""
+        return max((b.enclosing_zero_exp() for b in self.balls), default=0)
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         self._check(other)
@@ -560,9 +577,7 @@ class ClopenSet:
     def _keep(self, other: "ClopenSet", in_other: bool) -> "ClopenSet":
         # the cells of the union that lie in self, and in other or not
         self._check(other)
-        entries = [(b, 0, True) for b in self.balls]
-        entries.extend((b, 1, True) for b in other.balls)
-        cells = split_union(entries, (False, False))
+        cells = union_cells((self, other))
         kept = [(cell, None) for cell, (a, b) in cells if a and b == in_other]
         return ClopenSet(self.ctx, tuple(b for b, _ in merge_siblings(self.ctx, kept)))
 

@@ -25,7 +25,7 @@ from .errors import (
     WindowMismatch,
 )
 from .measure import IntensityMeasure
-from .padic import Ball, ClopenSet, first_overlap
+from .padic import Ball, ClopenSet, first_overlap, read_parts
 from .stepfn import REAL, StepFunction, refine_window
 
 
@@ -198,17 +198,10 @@ def pair_sum(f: StepFunction, gamma: Configuration) -> Fraction:
 def required_depth(objects, ball: Ball) -> int:
     """Smallest sampling depth making every listed step function / clopen set
     constant on the sampled point's residual ball inside the given ball."""
-    exps = []
-    for obj in objects:
-        if isinstance(obj, StepFunction):
-            exps.extend(b.radius_exp for b, _ in obj.parts)
-        elif isinstance(obj, ClopenSet):
-            exps.extend(b.radius_exp for b in obj.balls)
-        elif isinstance(obj, Ball):
-            exps.append(obj.radius_exp)
-        else:
-            raise PadicAffineError(f"cannot take depth of {type(obj).__name__}")
-    r_min = min(exps, default=ball.radius_exp)
+    r_min = min(
+        (b.radius_exp for obj in objects for b, _ in read_parts(obj)[0]),
+        default=ball.radius_exp,
+    )
     return max(1, ball.radius_exp - r_min)
 
 
@@ -379,10 +372,8 @@ def window_cells(mu: IntensityMeasure, fns: list) -> list:
     so every Poisson expectation here integrates over these cells alone."""
     fns = [*fns, mu.density]
     r = max(
-        fn.enclosing_exp(-math.inf)
-        if isinstance(fn, StepFunction)
-        else fn.enclosing_zero_exp(-math.inf)
-        for fn in fns
+        (b.enclosing_zero_exp() for fn in fns for b, _ in read_parts(fn)[0]),
+        default=-math.inf,
     )
     if r == -math.inf:
         return []
@@ -437,6 +428,14 @@ def exp_checked(x: float) -> float:
         raise PadicAffineError(f"e^{x:.6g} overflows a float") from exc
 
 
+def _float_checked(x: Fraction, what: str) -> float:
+    """float(x), or a PadicAffineError when x is past a float's range."""
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise PadicAffineError(f"{what} overflows a float") from exc
+
+
 def expect_exact(f: CylinderFunction, mu: IntensityMeasure) -> float:
     """Closed-form Poisson expectation for the supported shapes."""
     if isinstance(f, Exponential):
@@ -450,9 +449,9 @@ def expect_exact(f: CylinderFunction, mu: IntensityMeasure) -> float:
         cells = [(vs, rv * c.measure) for c, (*vs, rv) in window_cells(mu, gs)]
         m = [sum((vs[j] * w for vs, w in cells), Fraction(0)) for j in range(len(gs))]
         if len(gs) == 1:
-            return float(m[0])
+            return _float_checked(m[0], "the mean")
         cross = sum((vs[0] * vs[1] * w for vs, w in cells), Fraction(0))
-        return float(cross + m[0] * m[1])
+        return _float_checked(cross + m[0] * m[1], "the second moment")
     if isinstance(f, CountEvent):
         if not f.sets_disjoint():
             raise UnsupportedShape(
@@ -460,7 +459,8 @@ def expect_exact(f: CylinderFunction, mu: IntensityMeasure) -> float:
             )
         out = 1.0
         for s, op, k in f.conditions:
-            out *= _predicate_prob(op, k, float(mu.mass(s)))
+            lam = _float_checked(mu.mass(s), "the mass of a count set")
+            out *= _predicate_prob(op, k, lam)
         return out
     raise UnsupportedShape(f"no closed form for {type(f).__name__}")
 

@@ -308,9 +308,7 @@ def find_decoupler(l1: ClopenSet, l2: ClopenSet) -> AffineElement:
     ctx = l1.ctx
     shell = max(0, l1.enclosing_zero_exp(), l2.enclosing_zero_exp()) + 1
     ball = Ball(ctx, shell, ())
-    p = ctx.p
-    h = Fraction(1, p**shell) if shell >= 0 else Fraction(p**-shell)
-    return AffineElement.from_parts(ctx, [], [(ball, h)])
+    return AffineElement.from_parts(ctx, [], [(ball, Fraction(1, ctx.p**shell))])
 
 
 def decoupler_shift(g: AffineElement):

@@ -15,7 +15,6 @@ from .errors import (
     ContextMismatch,
     KindMismatch,
     OverlappingParts,
-    PadicAffineError,
     UnboundedIntegral,
 )
 from .padic import (
@@ -24,8 +23,8 @@ from .padic import (
     Padic,
     first_overlap,
     merge_siblings,
-    split_cells,
     split_union,
+    union_cells,
 )
 
 PADIC = "padic"
@@ -120,11 +119,10 @@ class StepFunction:
 
     # -- geometry -----------------------------------------------------------
 
-    def enclosing_exp(self, floor: int = 0) -> int:
-        """Exponent R of the smallest zero-centered ball containing all parts."""
-        if not self.parts:
-            return floor
-        return max(max(b.enclosing_zero_exp() for b, _ in self.parts), floor)
+    def enclosing_exp(self) -> int:
+        """Exponent R >= 0 of the smallest zero-centered ball B(0; R)
+        containing all parts."""
+        return max([0, *(b.enclosing_zero_exp() for b, _ in self.parts)])
 
     def deviation_support(self) -> ClopenSet:
         """Exact clopen set where the function differs from its tail."""
@@ -225,36 +223,17 @@ class StepFunction:
         return sum((abs(v) * b.measure for b, v in self.parts), Fraction(0))
 
 
-def union_cells(fns) -> list:
-    """split_union over the parts of the step functions fns, with their
-    tails as defaults: (cell, per-function values) on a partition of the
-    set where some function leaves its tail."""
-    entries = [(b, slot, v) for slot, fn in enumerate(fns) for b, v in fn.parts]
-    return split_union(entries, tuple(fn.tail for fn in fns))
-
-
 def refine_window(window: ClopenSet, fns: list) -> list:
     """Partition the window into balls on which every listed step function
     or clopen set is constant, as (cell, tuple of per-function values);
-    cells come depth first, children in digit order.
+    cells come window ball by window ball, each depth first, children in
+    digit order.
 
-    One descent per window ball: a function's value on a cell is that of
-    its part equal to the cell, else the value carried down from above."""
-    indexes = []
-    for fn in fns:
-        if isinstance(fn, StepFunction):
-            indexes.append((BallIndex(fn.parts), fn.tail))
-        elif isinstance(fn, ClopenSet):
-            indexes.append((BallIndex((b, True) for b in fn.balls), False))
-        else:
-            raise PadicAffineError(f"cannot refine against {type(fn).__name__}")
-    cells = []
-    for w in window.balls:
-        values = []
-        cuts = []
-        for slot, (index, default) in enumerate(indexes):
-            hit = index.covering(w)
-            values.append(default if hit is None else hit[1])
-            cuts.extend((b, slot, v) for b, v in index.inside(w))
-        cells.extend(split_cells(w, cuts, tuple(values)))
-    return cells
+    One union walk over fns and, in slot 0, the window's balls valued by
+    their position; cells outside the window are dropped. A part may hold
+    several window balls, which the walk meets in digit order, so a stable
+    sort on the position puts the cells back into window order."""
+    positions = tuple((w, i) for i, w in enumerate(window.balls))
+    cells = union_cells([StepFunction(window.ctx, REAL, positions, -1), *fns])
+    kept = sorted((c for c in cells if c[1][0] >= 0), key=lambda c: c[1][0])
+    return [(cell, values[1:]) for cell, values in kept]

@@ -88,6 +88,15 @@ def wide_function(ctx, rng, n, tail=0, lo=-4, root_exp=1):
     return StepFunction.make(ctx, REAL, parts, tail)
 
 
+def sub_balls(rng, ball, count, splits=4):
+    """Up to count disjoint balls inside `ball`, in random order."""
+    leaves = [ball]
+    for _ in range(splits):
+        leaves.extend(leaves.pop(rng.randrange(len(leaves))).children())
+    rng.shuffle(leaves)
+    return leaves[:count]
+
+
 def random_ball(ctx, rng, rmin, rmax):
     """A ball of radius exponent rmin..rmax around a random rational."""
     return Ball.from_center(randgen.random_point(ctx, rng), rng.randint(rmin, rmax))
@@ -391,6 +400,25 @@ class TestAgainstPairwise:
             ctx, [Ball(ctx, 2, ()), Ball.from_center(ctx.rational(1, p**3), 0)]
         )
         assert refine_window(window, fns) == ref_refine_window(window, fns)
+        # window balls inside parts, listed by (radius, key) while the walk
+        # meets the ones inside one part in digit order
+        inner = [
+            b for part, _ in fns[1].parts[:3] for b in sub_balls(rng, part, 4)
+        ]
+        window = ClopenSet.of(ctx, inner + disjoint_balls(ctx, rng, 2, root_exp=-3))
+        assert refine_window(window, fns) == ref_refine_window(window, fns)
+
+    def test_refine_window_keeps_window_order(self):
+        # the part B(0;0) holds both window balls: the walk meets B(0;-1)
+        # (digit 0) before B(1;-2) (digit 1), the window lists B(1;-2) first
+        ctx = PadicContext(3)
+        rho = StepFunction.make(ctx, REAL, [(Ball(ctx, 0, ()), 2)], 1)
+        window = ClopenSet.of(
+            ctx, [Ball.from_center(ctx.rational(1), -2), Ball(ctx, -1, ())]
+        )
+        cells = refine_window(window, [rho])
+        assert [cell for cell, _ in cells] == list(window.balls)
+        assert cells == ref_refine_window(window, [rho])
 
 
 # -- work-count regression guard --------------------------------------------------

@@ -110,6 +110,16 @@ class TestExactExpectations:
         with pytest.raises(PadicAffineError):
             expect_exact(f, self.haar)
 
+    def test_closed_forms_beyond_float_range_are_typed(self):
+        """A mean, a second moment or a count rate of 3^700 does not fit a
+        float; the count rate is refused before it reaches the pmf."""
+        ball = Ball(self.ctx, 700, ())
+        g = indicator_step(self.ctx, ball, 1)
+        count = CountEvent(((ClopenSet.of(self.ctx, [ball]), "=", 0),))
+        for f in (Polynomial(((g, 1),)), Polynomial(((g, 2),)), count):
+            with pytest.raises(PadicAffineError, match="overflows a float"):
+                expect_exact(f, self.haar)
+
     def test_void_probability(self):
         ev = CountEvent(((ClopenSet.of(self.ctx, [self.z]), "=", 0),))
         assert expect_exact(ev, self.haar) == pytest.approx(

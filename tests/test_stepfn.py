@@ -160,6 +160,21 @@ class TestIntegration:
         assert f.integrate_transform(region, "abs_dev") == Fraction(2, 3)
 
 
+class TestEnclosingExponents:
+    def setup_method(self):
+        self.ctx = PadicContext(3)
+        self.small = Ball(self.ctx, -2, ())
+
+    def test_step_function_floored_at_zero(self):
+        assert StepFunction.constant(self.ctx, REAL, 5).enclosing_exp() == 0
+        f = StepFunction.make(self.ctx, REAL, [(self.small, 1)], 0)
+        assert f.enclosing_exp() == 0
+
+    def test_clopen_set_not_floored(self):
+        assert ClopenSet.of(self.ctx, []).enclosing_zero_exp() == 0
+        assert ClopenSet.of(self.ctx, [self.small]).enclosing_zero_exp() == -2
+
+
 def _leaves(ball, levels):
     out = [ball]
     for _ in range(levels):
