@@ -100,6 +100,12 @@ class Parser:
         tok = tok or self._peek()
         raise ParseError(message, tok.line, tok.column)
 
+    def _disjoint(self, balls: list, tok=None):
+        clash = first_overlap(balls)
+        if clash is not None:
+            i, j = (format_ball(balls[k]) for k in clash)
+            self._error(f"balls {i} and {j} overlap", tok)
+
     def finish(self, value):
         tok = self._peek()
         if tok.kind != "eof":
@@ -145,12 +151,7 @@ class Parser:
                 self._next()
                 balls.append(self.ball())
         self._expect("}")
-        clash = first_overlap(balls)
-        if clash is not None:
-            i, j = clash
-            self._error(
-                f"balls {format_ball(balls[i])} and {format_ball(balls[j])} overlap"
-            )
+        self._disjoint(balls)
         return ClopenSet.of(self.ctx, balls)
 
     def step(self, kind: str = REAL) -> StepFunction:
@@ -168,6 +169,7 @@ class Parser:
             self._error("expected 'tail'", tail_tok)
         tail = self.rational()
         self._expect("}")
+        self._disjoint([b for b, _ in parts], open_tok)
         try:
             return StepFunction.make(self.ctx, kind, parts, tail)
         except Exception as exc:

@@ -292,11 +292,6 @@ class Ball:
         k = self.radius_exp + fraction_valuation(a_val, p)
         return Ball.from_center(Padic(self.ctx, c), k)
 
-    def translate(self, h: Fraction) -> "Ball":
-        return Ball.from_center(
-            Padic(self.ctx, self.center.frac + h), self.radius_exp
-        )
-
     def point(self, m: int) -> Padic:
         """The point c + m·p^(-k) of B(c; k), for an integer m >= 0."""
         cn, cd, up, down = self._frame()
@@ -530,8 +525,10 @@ class ClopenSet:
 
     @classmethod
     def of(cls, ctx: PadicContext, balls) -> "ClopenSet":
-        """Union of the given balls (nesting and duplicates allowed)."""
-        return cls(ctx, _canonical_balls(ctx, list(balls)))
+        """Union of the given balls (nesting and duplicates allowed): the
+        cells of their union walk in one slot, siblings merged."""
+        cells = split_union([(b, 0, None) for b in balls], (None,))
+        return cls(ctx, tuple(b for b, _ in merge_siblings(ctx, cells)))
 
     def __eq__(self, other):
         return (
@@ -582,18 +579,9 @@ class ClopenSet:
         return ClopenSet(self.ctx, tuple(b for b, _ in merge_siblings(self.ctx, kept)))
 
     def translate(self, h: Fraction) -> "ClopenSet":
-        return ClopenSet.of(self.ctx, [b.translate(h) for b in self.balls])
+        return ClopenSet.of(self.ctx, [b.image(1, h) for b in self.balls])
 
     def _check(self, other):
         if self.ctx.p != other.ctx.p:
             raise ContextMismatch("clopen sets over different primes")
 
-
-def _canonical_balls(ctx: PadicContext, balls: list) -> tuple:
-    if len(balls) == 1:
-        return tuple(balls)
-    # dedupe and drop balls nested inside others
-    entries = [(b, None) for b in dict.fromkeys(balls)]
-    index = BallIndex(entries)
-    keep = [e for e in entries if index.covering(e[0].parent()) is None]
-    return tuple(b for b, _ in merge_siblings(ctx, keep))

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .affine import AffineElement
 from .errors import (
     PadicAffineError,
+    UnboundedIntegral,
     UnsupportedShape,
     WindowMismatch,
 )
@@ -398,7 +399,9 @@ def laplace_sum(cells: list) -> float:
 
 def laplace_exponent(f: StepFunction, mu: IntensityMeasure) -> float:
     """The integral of (e^f - 1) rho dm; rational coefficients exact, one
-    float exponential per constant piece."""
+    float exponential per constant piece. It diverges unless f has tail 0."""
+    if f.tail != 0:
+        raise UnboundedIntegral("test function must vanish at infinity")
     return laplace_sum(window_cells(mu, [f]))
 
 

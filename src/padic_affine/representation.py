@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .affine import AffineElement
 from .errors import (
-    ContractViolation, PadicAffineError, UnsupportedShape, WindowMismatch
+    ContractViolation, PadicAffineError, UnboundedIntegral, UnsupportedShape,
+    WindowMismatch,
 )
 from .measure import IntensityMeasure, pushforward
 from .padic import Ball, ClopenSet
@@ -203,6 +204,8 @@ def rn_density(g: AffineElement, gamma: Configuration) -> float:
 
 def check_rn_identity(g: AffineElement, f: StepFunction) -> CheckReport:
     """Closed-form comparison of E_m[R(g,·) e^{<f,·>}] with E_{g*m}[e^{<f,·>}]."""
+    if f.tail != 0:
+        raise UnboundedIntegral("test function must vanish at infinity")
     mu = pushforward(IntensityMeasure.haar(g.ctx), g)
     cells = window_cells(mu, [f])
     # first: it raises the typed error for an f whose exponential overflows

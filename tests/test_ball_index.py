@@ -43,7 +43,7 @@ def disjoint_balls(ctx, rng, count, root_exp=1, splits=8):
     balls = randgen.random_disjoint_balls(ctx, rng, count, root_exp, splits)
     if rng.random() < 0.3:
         h = Fraction(rng.randint(1, ctx.p - 1), ctx.p ** rng.randint(1, 4))
-        balls = [b.translate(h) for b in balls]
+        balls = [b.image(1, h) for b in balls]
     return balls
 
 

@@ -196,6 +196,17 @@ class TestErrorsAndConfig:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("command", ["laplace", "rn", "unitarity"])
+    @pytest.mark.parametrize("f", ["{B(0;0): 1 | tail 1}", "{B(0;0): 1 | tail 2}"])
+    def test_nonzero_tail_exit_2(self, capsys, command, f):
+        # the integral of e^f - 1 over Q_p diverges; no verdict is printed
+        g = "aff(a = {| tail 1}, b = {| tail 0})"
+        for json_flag in ([], ["--json"]):
+            code, out, err = run(capsys, *json_flag, "--p", "3", command, "--g", g, "--f", f)
+            assert code == 2
+            assert out == ""
+            assert err == "error: test function must vanish at infinity\n"
+
     def test_nonprime_exit_2(self, capsys):
         code, _, err = run(capsys, "--p", "6", "verify-all")
         assert code == 2

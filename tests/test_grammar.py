@@ -138,6 +138,11 @@ class TestErrors:
     def test_overlapping_step_parts(self, ctx):
         with pytest.raises(ParseError):
             parse_step("{B(0;0): 1, B(1;0): 2 | tail 0}", ctx)
+        # the same literal-grammar message as a clopen literal, at the brace
+        with pytest.raises(ParseError) as err:
+            parse_step("  {B(0;0): 1, B(1;-1): 2 | tail 0}", ctx)
+        assert err.value.message == "balls B(0;0) and B(1;-1) overlap"
+        assert (err.value.line, err.value.column) == (1, 3)
 
     def test_bad_affine_tails(self, ctx):
         with pytest.raises(ParseError):

@@ -84,7 +84,7 @@ def leaves(ctx, rng, root_exp, splits):
         out.extend(b.children())
     if rng.random() < 0.3:
         h = Fraction(rng.randint(1, ctx.p - 1), ctx.p ** rng.randint(1, 4))
-        out = [b.translate(h) for b in out]
+        out = [b.image(1, h) for b in out]
     rng.shuffle(out)
     return out
 

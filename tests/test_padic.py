@@ -265,3 +265,38 @@ class TestClopen:
         moved = s.translate(t)
         assert moved.measure == s.measure
         assert moved.translate(-t) == s
+
+
+class TestTranslate:
+    """ClopenSet.translate moves each ball with Ball.image(1, h); the
+    reference is the direct move of each ball's center."""
+
+    @given(
+        p=st.sampled_from(PRIMES),
+        seed=st.integers(0, 10**6),
+        num=st.integers(-50, 50),
+        den_exp=st.integers(0, 5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_moving_each_center(self, p, seed, num, den_exp):
+        # den_exp > 0 with num prime to p gives a shift of negative valuation;
+        # num = 0 gives h = 0
+        ctx = PadicContext(p)
+        rng = random.Random(seed)
+        h = Fraction(num, p**den_exp)
+        s = ClopenSet.of(ctx, [
+            Ball.from_center(
+                Padic(ctx, Fraction(rng.randint(-40, 40), p ** rng.randint(0, 3))),
+                rng.randint(-3, 2),
+            )
+            for _ in range(rng.randint(0, 8))
+        ])
+        moved = [
+            Ball.from_center(Padic(ctx, b.center.frac + h), b.radius_exp)
+            for b in s.balls
+        ]
+        assert [b.image(1, h) for b in s.balls] == moved
+        assert s.translate(h) == ClopenSet.of(ctx, moved)
+        assert s.translate(h).measure == s.measure
+        if h == 0:
+            assert s.translate(h) == s

@@ -49,3 +49,22 @@ def test_verify_all_json_digest(capsys):
         capsys, "--json", "verify-all", "--p", "3", "--seed", "0"
     )
     assert digest == "c3d9171f710a352e24b2daff796e667d1c4a66e32496d3a6b50308a1ffb21a1f"
+
+
+VERIFY_ALL_DIGESTS = {
+    (2, 0): "08ab7610d9ffa3bdc7e4fe44274aa0dc5fe03743afe6fb464aa92382fadf5157",
+    (2, 42): "436c4c9c8bdc9818e89d70318edf5b6bc170260c4eb97113b431f0b24086ec39",
+    (3, 42): "4ac5ec26c717d14949c0448ea29580a4f686fe0a854fa43e8f51147a8263450c",
+    (5, 0): "ec004a240771a315d1209470df64b8e01ca70d8a729f63672a37a2d799958a87",
+    (5, 42): "2283471cda062ec20ae3fad5b9e2f99a348134048239d5d808a5957e48b46d7d",
+}
+
+
+@pytest.mark.parametrize("p, seed", sorted(VERIFY_ALL_DIGESTS))
+def test_verify_all_json_digests(capsys, p, seed):
+    # the other primes and seeds of the byte-identity rule; the exit code is
+    # left out for the reason given above
+    _, digest = stdout_digest(
+        capsys, "--json", "verify-all", "--p", str(p), "--seed", str(seed)
+    )
+    assert digest == VERIFY_ALL_DIGESTS[(p, seed)]

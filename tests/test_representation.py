@@ -34,8 +34,11 @@ from padic_affine import (
     rn_density,
     rn_factors,
 )
-from padic_affine.errors import ContractViolation, PadicAffineError, WindowMismatch
-from padic_affine.poisson import mc_run
+from padic_affine.errors import (
+    ContractViolation, PadicAffineError, UnboundedIntegral, WindowMismatch
+)
+from padic_affine.measure import IntensityMeasure
+from padic_affine.poisson import laplace_exponent, mc_run
 from padic_affine.randgen import (
     random_clopen,
     random_element,
@@ -319,3 +322,23 @@ class TestInfiniteExponent:
         monkeypatch.setattr("padic_affine.representation.mc_run", no_sampling)
         with pytest.raises(PadicAffineError):
             check(AffineElement.identity(ctx), f, 1000, 0)
+
+
+class TestTailMustVanish:
+    """e^f - 1 is e^tail - 1 off a compact set, so the Laplace exponent of an
+    f with a nonzero tail diverges on Q_p; the exact checks refuse it."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("tail", [1, 2, Fraction(-1, 3)])
+    @pytest.mark.parametrize("check", [check_laplace, check_rn_identity, check_isometry])
+    def test_nonzero_tail_is_unbounded(self, check, tail, p):
+        ctx = PadicContext(p)
+        f = StepFunction.make(ctx, REAL, [(Ball(ctx, 0, ()), 1)], tail)
+        with pytest.raises(UnboundedIntegral):
+            check(AffineElement.identity(ctx), f)
+
+    def test_laplace_exponent(self):
+        ctx = ctx3()
+        f = StepFunction.constant(ctx, REAL, 1)
+        with pytest.raises(UnboundedIntegral):
+            laplace_exponent(f, IntensityMeasure.haar(ctx))

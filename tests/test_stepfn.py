@@ -34,7 +34,7 @@ def random_step(ctx, rng, kind=REAL, tail=None):
 
 def ref_translate(f, t):
     """x -> f(x - t): every part's ball moved by +t."""
-    parts = [(b.translate(t), v) for b, v in f.parts]
+    parts = [(b.image(1, t), v) for b, v in f.parts]
     return StepFunction.make(f.ctx, f.kind, parts, f.tail)
 
 

@@ -72,7 +72,7 @@ def some_balls(ctx, rng):
     )
     if rng.random() < 0.3:
         h = rng.randint(1, ctx.p - 1) * Fraction(ctx.p) ** rng.randint(-3, 2)
-        balls = [b.translate(h) for b in balls]
+        balls = [b.image(1, h) for b in balls]
     return balls
 
 
