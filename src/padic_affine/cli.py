@@ -6,14 +6,18 @@ are given inline or as @path to read a file. Reports go to stdout (JSON with
 (audit findings never fail a run), 1 when a hard check fails, 2 for parse or
 configuration errors.
 
-Defaults can be overridden by environment variables PADIC_AFFINE_P,
-PADIC_AFFINE_SEED, PADIC_AFFINE_SAMPLES, PADIC_AFFINE_DEPTH_MARGIN and
-PADIC_AFFINE_TOLERANCE; explicit flags beat the environment.
+The global options --p, --seed, --samples, --depth-margin and --tolerance
+come from one table, `_OPTIONS`. Each is accepted before or after the
+subcommand, and its default can be overridden by the environment variable
+PADIC_AFFINE_P, PADIC_AFFINE_SEED, PADIC_AFFINE_SAMPLES,
+PADIC_AFFINE_DEPTH_MARGIN or PADIC_AFFINE_TOLERANCE; explicit flags beat the
+environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -47,6 +51,18 @@ from .representation import (
 )
 
 _ENV_PREFIX = "PADIC_AFFINE_"
+
+# the global options as (RunConfig field, type, default, help); the flag is
+# the field with dashes, the variable _ENV_PREFIX + the field in capitals
+_OPTIONS = (
+    ("p", int, 3, "the prime (default 3)"),
+    ("seed", int, 0, "RNG seed (default 0)"),
+    ("samples", int, 10000,
+     "Monte Carlo sample count (default 10000, minimum 1000)"),
+    ("depth_margin", int, 1, "extra digit depth for samplers (default 1)"),
+    ("tolerance", float, 1e-9,
+     "relative tolerance for exact-mode checks (default 1e-9)"),
+)
 
 
 @dataclass
@@ -89,76 +105,6 @@ def _read_input(text: str) -> str:
         with open(text[1:], "r", encoding="utf-8") as fh:
             return fh.read()
     return text
-
-
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="padic-affine",
-        description="Exact p-adic affine group arithmetic and identity audits.",
-    )
-    top.add_argument("--p", type=int, default=None, help="the prime (default 3)")
-    top.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    top.add_argument(
-        "--samples", type=int, default=None,
-        help="Monte Carlo sample count (default 10000, minimum 1000)",
-    )
-    top.add_argument(
-        "--depth-margin", type=int, default=None,
-        help="extra digit depth for samplers (default 1)",
-    )
-    top.add_argument(
-        "--tolerance", type=float, default=None,
-        help="relative tolerance for exact-mode checks (default 1e-9)",
-    )
-    top.add_argument(
-        "--json", action="store_true", help="emit reports as JSON on stdout"
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def command(name, help):
-        # repeat the global options so they are accepted after the
-        # subcommand too; SUPPRESS keeps the top-level value when unset
-        s = sub.add_parser(name, help=help)
-        s.add_argument("--p", type=int, default=argparse.SUPPRESS)
-        s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        s.add_argument("--samples", type=int, default=argparse.SUPPRESS)
-        s.add_argument("--depth-margin", type=int, default=argparse.SUPPRESS)
-        s.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
-        s.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-        return s
-
-    s = command("pushforward", "density of g*m against Haar")
-    s.add_argument("--g", required=True, help="affine element literal or @file")
-
-    s = command("laplace", "check the Laplace transform identity")
-    s.add_argument("--g", required=True)
-    s.add_argument("--f", required=True, help="real step function literal")
-    s.add_argument("--mc", action="store_true", help="add a Monte Carlo replica")
-
-    s = command("rn", "check the Radon-Nikodym chain rule")
-    s.add_argument("--g", required=True)
-    s.add_argument("--f", required=True)
-    s.add_argument("--mc", action="store_true")
-
-    s = command("unitarity", "audit the candidate operator norm")
-    s.add_argument("--g", required=True)
-    s.add_argument("--f", required=True)
-    s.add_argument("--mc", action="store_true")
-
-    s = command("decouple", "construct a decoupling element")
-    s.add_argument("--l1", required=True, help="clopen set literal")
-    s.add_argument("--l2", required=True)
-
-    s = command("sample", "draw Poisson configurations")
-    s.add_argument("--window", required=True, help="clopen window literal")
-    s.add_argument("--count", type=int, default=1, help="configurations to draw")
-
-    s = command("audit", "random audits; findings never fail")
-    s.add_argument("--trials", type=int, default=100)
-
-    command("verify-all", "the full deterministic battery")
-
-    return top
 
 
 def _emit(reports, cfg):
@@ -212,18 +158,6 @@ def _pair_command(args, cfg, exact_fn, mc_fn):
     if args.mc:
         reports.append(mc_fn(g, f, cfg.samples, cfg.seed))
     return _emit(_retolerance(reports, cfg), cfg)
-
-
-def cmd_laplace(args, cfg):
-    return _pair_command(args, cfg, check_laplace, check_laplace_mc)
-
-
-def cmd_rn(args, cfg):
-    return _pair_command(args, cfg, check_rn_identity, check_rn_identity_mc)
-
-
-def cmd_unitarity(args, cfg):
-    return _pair_command(args, cfg, check_isometry, check_isometry_mc)
 
 
 def cmd_decouple(args, cfg):
@@ -283,40 +217,74 @@ def cmd_verify_all(args, cfg):
     return _emit(_retolerance(reports, cfg), cfg)
 
 
-_COMMANDS = {
-    "pushforward": cmd_pushforward,
-    "laplace": cmd_laplace,
-    "rn": cmd_rn,
-    "unitarity": cmd_unitarity,
-    "decouple": cmd_decouple,
-    "sample": cmd_sample,
-    "audit": cmd_audit,
-    "verify-all": cmd_verify_all,
-}
+def build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(
+        prog="padic-affine",
+        description="Exact p-adic affine group arithmetic and identity audits.",
+    )
+    for name, cast, _, help in _OPTIONS:
+        flag = "--" + name.replace("_", "-")
+        top.add_argument(flag, type=cast, default=None, help=help)
+    top.add_argument(
+        "--json", action="store_true", help="emit reports as JSON on stdout"
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def command(name, run, help):
+        # repeat the global options so they are accepted after the
+        # subcommand too; SUPPRESS keeps the top-level value when unset
+        s = sub.add_parser(name, help=help)
+        for option, cast, _, _ in _OPTIONS:
+            flag = "--" + option.replace("_", "-")
+            s.add_argument(flag, type=cast, default=argparse.SUPPRESS)
+        s.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
+        s.set_defaults(run=run)
+        return s
+
+    s = command("pushforward", cmd_pushforward, "density of g*m against Haar")
+    s.add_argument("--g", required=True, help="affine element literal or @file")
+
+    for name, help, exact_fn, mc_fn in (
+        ("laplace", "check the Laplace transform identity",
+         check_laplace, check_laplace_mc),
+        ("rn", "check the Radon-Nikodym chain rule",
+         check_rn_identity, check_rn_identity_mc),
+        ("unitarity", "audit the candidate operator norm",
+         check_isometry, check_isometry_mc),
+    ):
+        run = functools.partial(_pair_command, exact_fn=exact_fn, mc_fn=mc_fn)
+        s = command(name, run, help)
+        s.add_argument("--g", required=True)
+        s.add_argument("--f", required=True, help="real step function literal")
+        s.add_argument("--mc", action="store_true", help="add a Monte Carlo replica")
+
+    s = command("decouple", cmd_decouple, "construct a decoupling element")
+    s.add_argument("--l1", required=True, help="clopen set literal")
+    s.add_argument("--l2", required=True)
+
+    s = command("sample", cmd_sample, "draw Poisson configurations")
+    s.add_argument("--window", required=True, help="clopen window literal")
+    s.add_argument("--count", type=int, default=1, help="configurations to draw")
+
+    s = command("audit", cmd_audit, "random audits; findings never fail")
+    s.add_argument("--trials", type=int, default=100)
+
+    command("verify-all", cmd_verify_all, "the full deterministic battery")
+
+    return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            p=args.p if args.p is not None else _env_default("P", int, 3),
-            seed=args.seed if args.seed is not None else _env_default("SEED", int, 0),
-            samples=(
-                args.samples if args.samples is not None
-                else _env_default("SAMPLES", int, 10000)
-            ),
-            depth_margin=(
-                args.depth_margin if args.depth_margin is not None
-                else _env_default("DEPTH_MARGIN", int, 1)
-            ),
-            tolerance=(
-                args.tolerance if args.tolerance is not None
-                else _env_default("TOLERANCE", float, 1e-9)
-            ),
-            as_json=args.json,
-        )
-        return _COMMANDS[args.command](args, cfg)
+        options = {}
+        for name, cast, default, _ in _OPTIONS:
+            value = getattr(args, name)
+            if value is None:
+                value = _env_default(name.upper(), cast, default)
+            options[name] = value
+        cfg = RunConfig(**options, as_json=args.json)
+        return args.run(args, cfg)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -100,12 +100,6 @@ class Parser:
         tok = tok or self._peek()
         raise ParseError(message, tok.line, tok.column)
 
-    def _disjoint(self, balls: list, tok=None):
-        clash = first_overlap(balls)
-        if clash is not None:
-            i, j = (format_ball(balls[k]) for k in clash)
-            self._error(f"balls {i} and {j} overlap", tok)
-
     def finish(self, value):
         tok = self._peek()
         if tok.kind != "eof":
@@ -151,7 +145,11 @@ class Parser:
                 self._next()
                 balls.append(self.ball())
         self._expect("}")
-        self._disjoint(balls)
+        # ClopenSet.of accepts nested balls; a literal may not hold any
+        clash = first_overlap(balls)
+        if clash is not None:
+            i, j = (balls[k] for k in clash)
+            self._error(f"balls {i} and {j} overlap")
         return ClopenSet.of(self.ctx, balls)
 
     def step(self, kind: str = REAL) -> StepFunction:
@@ -169,7 +167,6 @@ class Parser:
             self._error("expected 'tail'", tail_tok)
         tail = self.rational()
         self._expect("}")
-        self._disjoint([b for b, _ in parts], open_tok)
         try:
             return StepFunction.make(self.ctx, kind, parts, tail)
         except Exception as exc:
@@ -317,16 +314,12 @@ def format_rational(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def format_ball(b: Ball) -> str:
-    return f"B({format_rational(b.center.frac)};{b.radius_exp})"
-
-
 def format_clopen(s: ClopenSet) -> str:
-    return "{" + ", ".join(format_ball(b) for b in s.balls) + "}"
+    return "{" + ", ".join(map(str, s.balls)) + "}"
 
 
 def format_step(f: StepFunction) -> str:
-    body = ", ".join(f"{format_ball(b)}: {format_rational(v)}" for b, v in f.parts)
+    body = ", ".join(f"{b}: {format_rational(v)}" for b, v in f.parts)
     sep = " " if body else ""
     return "{" + body + sep + "| tail " + format_rational(f.tail) + "}"
 
@@ -351,7 +344,7 @@ def format_cylinder(f: CylinderFunction) -> str:
 
 def format_value(x) -> str:
     if isinstance(x, Ball):
-        return format_ball(x)
+        return str(x)
     if isinstance(x, ClopenSet):
         return format_clopen(x)
     if isinstance(x, StepFunction):

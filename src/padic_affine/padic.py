@@ -227,6 +227,10 @@ class Ball:
     def __repr__(self):
         return f"Ball({self.center.frac!r}; {self.radius_exp}, p={self.ctx.p})"
 
+    def __str__(self):
+        # the literal grammar's B(c;k)
+        return f"B({self.center.frac};{self.radius_exp})"
+
     def sort_key(self):
         return (self.radius_exp, self.key)
 

@@ -98,7 +98,7 @@ class Exponential(CylinderFunction):
         if self.f.kind != REAL:
             raise PadicAffineError("exponential descriptor needs a real f")
         if self.f.tail != 0:
-            raise PadicAffineError("test function must vanish at infinity")
+            raise UnboundedIntegral("test function must vanish at infinity")
 
     def fns(self) -> list:
         return [self.f]
@@ -120,8 +120,10 @@ class Polynomial(CylinderFunction):
         if not self.factors:
             raise PadicAffineError("a polynomial needs at least one factor")
         for f, e in self.factors:
-            if f.kind != REAL or f.tail != 0:
+            if f.kind != REAL:
                 raise PadicAffineError("polynomial factors need real f, tail 0")
+            if f.tail != 0:
+                raise UnboundedIntegral("polynomial factors need real f, tail 0")
             if e < 1:
                 raise PadicAffineError("powers must be positive")
 

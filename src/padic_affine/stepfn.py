@@ -64,7 +64,7 @@ class StepFunction:
         if clash is not None:
             i, j = clash
             raise OverlappingParts(
-                f"balls {norm[i][0]!r} and {norm[j][0]!r} overlap"
+                f"balls {norm[i][0]} and {norm[j][0]} overlap"
             )
         return cls._build(ctx, kind, norm, _as_fraction(tail))
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from padic_affine import representation
+from padic_affine import cli, representation
 from padic_affine.cli import RunConfig, _retolerance, main
 from padic_affine.padic import Ball, ClopenSet, PadicContext
 from padic_affine.poisson import CountEvent
@@ -242,6 +242,62 @@ class TestErrorsAndConfig:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+class TestOptionResolution:
+    """Each global option reaches RunConfig from a flag given before or after
+    the subcommand, else from PADIC_AFFINE_<NAME>, else from its default."""
+
+    # attribute, flag, flag value, environment variable, its value, default
+    OPTIONS = [
+        ("p", "--p", "5", "PADIC_AFFINE_P", "2", 3),
+        ("seed", "--seed", "7", "PADIC_AFFINE_SEED", "11", 0),
+        ("samples", "--samples", "2000", "PADIC_AFFINE_SAMPLES", "3000", 10000),
+        ("depth_margin", "--depth-margin", "2", "PADIC_AFFINE_DEPTH_MARGIN", "3", 1),
+        ("tolerance", "--tolerance", "0.5", "PADIC_AFFINE_TOLERANCE", "0.25", 1e-9),
+    ]
+    DECOUPLE = ["decouple", "--l1", "{B(0;0)}", "--l2", "{B(0;0)}"]
+
+    def resolved(self, monkeypatch, capsys, argv):
+        seen = []
+
+        class Recording(RunConfig):
+            def __post_init__(self):
+                super().__post_init__()
+                seen.append(self)
+
+        monkeypatch.setattr(cli, "RunConfig", Recording)
+        assert main(argv) == 0
+        capsys.readouterr()
+        [cfg] = seen
+        return cfg
+
+    @pytest.mark.parametrize("where", ["before", "after", "env", "unset"])
+    @pytest.mark.parametrize(
+        "name, flag, value, var, env_value, default", OPTIONS,
+        ids=[o[0] for o in OPTIONS],
+    )
+    def test_resolution(
+        self, monkeypatch, capsys, where, name, flag, value, var, env_value,
+        default,
+    ):
+        for option in self.OPTIONS:
+            monkeypatch.delenv(option[3], raising=False)
+        if where != "unset":
+            # with a flag given too, the flag must beat the environment
+            monkeypatch.setenv(var, env_value)
+        argv = {
+            "before": [flag, value, *self.DECOUPLE],
+            "after": [*self.DECOUPLE, flag, value],
+            "env": self.DECOUPLE,
+            "unset": self.DECOUPLE,
+        }[where]
+        cfg = self.resolved(monkeypatch, capsys, argv)
+        expected = {d[0]: d[5] for d in self.OPTIONS}
+        expected[name] = type(default)(
+            {"before": value, "after": value, "env": env_value}.get(where, default)
+        )
+        assert {n: getattr(cfg, n) for n in expected} == expected
 
 
 class TestAudit:

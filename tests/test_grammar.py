@@ -2,6 +2,7 @@
 
 import pytest
 
+from padic_affine import grammar, padic, stepfn
 from padic_affine.errors import ParseError
 from padic_affine.grammar import (
     Parser,
@@ -143,6 +144,18 @@ class TestErrors:
             parse_step("  {B(0;0): 1, B(1;-1): 2 | tail 0}", ctx)
         assert err.value.message == "balls B(0;0) and B(1;-1) overlap"
         assert (err.value.line, err.value.column) == (1, 3)
+
+    def test_step_literal_checks_overlap_once(self, ctx, monkeypatch):
+        calls = []
+
+        def counting(balls):
+            calls.append(len(balls))
+            return padic.first_overlap(balls)
+
+        monkeypatch.setattr(grammar, "first_overlap", counting)
+        monkeypatch.setattr(stepfn, "first_overlap", counting)
+        parse_step("{B(0;-1): 1, B(1;-1): 2 | tail 0}", ctx)
+        assert calls == [2]
 
     def test_bad_affine_tails(self, ctx):
         with pytest.raises(ParseError):

@@ -24,7 +24,12 @@ from padic_affine import (
     required_depth,
     sample_config,
 )
-from padic_affine.errors import PadicAffineError, UnsupportedShape, WindowMismatch
+from padic_affine.errors import (
+    PadicAffineError,
+    UnboundedIntegral,
+    UnsupportedShape,
+    WindowMismatch,
+)
 from padic_affine import poisson
 from padic_affine.poisson import (
     EQ,
@@ -90,6 +95,20 @@ class TestLaplaceExponent:
         got = laplace_exponent(f, IntensityMeasure.haar(ctx))
         want = (math.expm1(1.0) + math.expm1(-1.0)) / 3.0
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("describe", [
+        pytest.param(Exponential, id="exponential"),
+        pytest.param(lambda f: Polynomial(((f, 1),)), id="polynomial"),
+    ])
+    def test_nonzero_tail_is_unbounded(self, describe):
+        """A descriptor refuses a test function with a nonzero tail with the
+        error the exact path raises for it."""
+        ctx = ctx3()
+        f = StepFunction.make(ctx, REAL, [(unit_ball(ctx), Fraction(0))], 1)
+        with pytest.raises(UnboundedIntegral):
+            laplace_exponent(f, IntensityMeasure.haar(ctx))
+        with pytest.raises(UnboundedIntegral):
+            describe(f)
 
 
 class TestExactExpectations:

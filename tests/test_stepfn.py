@@ -55,6 +55,16 @@ class TestConstruction:
         with pytest.raises(OverlappingParts):
             StepFunction.make(self.ctx, REAL, [(z, 1), (inner, 2)], 0)
 
+    def test_overlap_named_in_literal_grammar(self):
+        z = Ball(self.ctx, 0, ())
+        with pytest.raises(OverlappingParts) as err:
+            StepFunction.make(self.ctx, REAL, [(z, 1), (z, 2)], 0)
+        assert str(err.value) == "balls B(0;0) and B(0;0) overlap"
+        inner = Ball.from_center(self.ctx.rational(Fraction(1, 3)), -1)
+        with pytest.raises(OverlappingParts) as err:
+            StepFunction.make(self.ctx, REAL, [(Ball(self.ctx, 1, ()), 1), (inner, 2)], 0)
+        assert str(err.value) == "balls B(0;1) and B(1/3;-1) overlap"
+
     def test_tail_valued_parts_dropped(self):
         z = Ball.from_center(self.ctx.rational(0), 0)
         f = StepFunction.make(self.ctx, REAL, [(z, Fraction(2))], 2)
