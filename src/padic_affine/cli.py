@@ -208,7 +208,7 @@ def cmd_sample(args, cfg):
 def cmd_audit(args, cfg):
     if args.trials < 1:
         raise PadicAffineError("trials must be positive")
-    reports = suite.audit_random(cfg.p, cfg.seed, args.trials)
+    reports = suite.audit_random(cfg.p, cfg.seed, args.trials, cfg.tolerance)
     return _emit(reports, cfg)
 
 

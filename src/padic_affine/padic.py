@@ -82,25 +82,26 @@ def fraction_abs_p(x: Fraction, p: int) -> Fraction:
     return Fraction(1, p**v) if v > 0 else Fraction(p ** (-v))
 
 
-def fraction_digits(x: Fraction, p: int, lo: int, hi: int) -> list:
-    """Canonical p-adic digits d_i of x for lo <= i <= hi.
-
-    Digits below the valuation are 0; the denominator is handled by a
-    modular inverse, so the result is exact.
-    """
-    if lo > hi:
-        raise ValueError("lo must not exceed hi")
-    if x == 0:
-        return [0] * (hi - lo + 1)
-    v = fraction_valuation(x, p)
-    base = min(lo, v)
-    shifted = x * Fraction(p) ** (-base)  # a p-adic integer
-    num, den = shifted.numerator, shifted.denominator
-    if den % p == 0:
-        raise PadicAffineError("denominator not prime to p after shift")
-    mod = p ** (hi - base + 1)
-    m = (num * pow(den, -1, mod)) % mod
-    return [(m // p ** (i - base)) % p for i in range(lo, hi + 1)]
+def _ball_key(p: int, n: int, d: int, k: int) -> tuple:
+    """Key of B(n/d; k) for integers n and d != 0: the nonzero digits
+    (position, digit) of n/d at positions below -k, read from one modular
+    inverse; no Fraction is built."""
+    e = 0
+    while d % p == 0:
+        d //= p
+        e += 1
+    if e <= k:  # every digit below -k is 0
+        return ()
+    mod = p ** (e - k)
+    m = n * pow(d, -1, mod) % mod  # p^e · n/d modulo p^(e-k)
+    key = []
+    pos = -e
+    while m:
+        m, digit = divmod(m, p)
+        if digit:
+            key.append((pos, digit))
+        pos += 1
+    return tuple(key)
 
 
 class Padic:
@@ -149,14 +150,6 @@ class Padic:
     def __repr__(self):
         return f"Padic({self.frac!r}, p={self.ctx.p})"
 
-    # -- p-adic structure ---------------------------------------------------
-
-    def valuation(self):
-        return fraction_valuation(self.frac, self.ctx.p)
-
-    def digits(self, lo: int, hi: int) -> list:
-        return fraction_digits(self.frac, self.ctx.p, lo, hi)
-
 
 # -- balls ------------------------------------------------------------------
 
@@ -171,7 +164,9 @@ class Ball:
 
     Identity is the coset c + p^{-k} Z_p: the canonical key is the tuple of
     nonzero digits of the center at positions below -k, which makes
-    equality, nesting and hashing drift-free.
+    equality, nesting and hashing drift-free. from_center and image read
+    the key from the center's integer numerator and denominator with one
+    modular inverse, building no Fraction or Padic.
     """
 
     __slots__ = ("ctx", "radius_exp", "key", "_center", "_ints")
@@ -185,12 +180,8 @@ class Ball:
 
     @classmethod
     def from_center(cls, center: Padic, radius_exp: int) -> "Ball":
-        v = center.valuation()
-        if v >= -radius_exp:  # includes center == 0
-            return cls(center.ctx, radius_exp, ())
-        ds = center.digits(v, -radius_exp - 1)
-        key = tuple((v + i, d) for i, d in enumerate(ds) if d != 0)
-        return cls(center.ctx, radius_exp, key)
+        n, d = center.frac.as_integer_ratio()
+        return cls(center.ctx, radius_exp, _ball_key(center.ctx.p, n, d, radius_exp))
 
     @property
     def center(self) -> Padic:
@@ -292,9 +283,13 @@ class Ball:
         if a_val == 0:
             raise PadicAffineError("a must be nonzero")
         p = self.ctx.p
-        c = (self.center.frac + b_val) / a_val
-        k = self.radius_exp + fraction_valuation(a_val, p)
-        return Ball.from_center(Padic(self.ctx, c), k)
+        cn, cd, _, _ = self._frame()
+        an, ad = a_val.as_integer_ratio()
+        bn, bd = b_val.as_integer_ratio()
+        # (c + b)/a = (cn·bd + bn·cd)·ad / (cd·bd·an)
+        k = self.radius_exp + _int_valuation(an, p) - _int_valuation(ad, p)
+        key = _ball_key(p, (cn * bd + bn * cd) * ad, cd * bd * an, k)
+        return Ball(self.ctx, k, key)
 
     def point(self, m: int) -> Padic:
         """The point c + m·p^(-k) of B(c; k), for an integer m >= 0."""

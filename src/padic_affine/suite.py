@@ -347,8 +347,9 @@ def verify_all(p: int, seed: int, samples: int) -> list:
     return reports
 
 
-def audit_random(p: int, seed: int, trials: int) -> list:
-    """Random composition / isometry / duality audits; findings only."""
+def audit_random(p: int, seed: int, trials: int, tolerance: float) -> list:
+    """Random composition / isometry / duality audits; findings only. An
+    isometry or duality defect is a finding when it exceeds `tolerance`."""
     ctx = PadicContext(p)
     rng = random.Random(f"audit:{seed}")
     reports = []
@@ -374,6 +375,7 @@ def audit_random(p: int, seed: int, trials: int) -> list:
         g = random_element(ctx, rng)
         f = random_test_function(ctx, rng)
         r = check_isometry(g, f)
+        r.rejudge(tolerance)
         if not r.passed:
             iso_findings += 1
             worst = max(worst, r.defect)
@@ -394,7 +396,9 @@ def audit_random(p: int, seed: int, trials: int) -> list:
         g = random_element(ctx, rng)
         f = random_test_function(ctx, rng)
         q = random_test_function(ctx, rng)
-        if not check_dual_pairing(g, f, q).passed:
+        r = check_dual_pairing(g, f, q)
+        r.rejudge(tolerance)
+        if not r.passed:
             dual_findings += 1
     reports.append(
         count_report(

@@ -307,6 +307,21 @@ class TestAudit:
         payload = json.loads(out)
         assert all(r["audit"] for r in payload)
 
+    def test_tolerance_rejudges_each_defect(self, capsys):
+        """A relative defect never exceeds 2, so --tolerance 2 leaves no
+        isometry or duality finding where the default finds some."""
+        def notes(*tolerance):
+            argv = ["--p", "3", "--seed", "0", *tolerance, "--json"]
+            _, out, _ = run(capsys, *argv, "audit", "--trials", "10")
+            return {r["name"]: r["note"] for r in json.loads(out)}
+
+        default, loose = notes(), notes("--tolerance", "2")
+        assert default["isometry-audit"].startswith("2/10 ")
+        assert loose["isometry-audit"].startswith("0/10 ")
+        assert not default["duality-audit"].startswith("0/10 ")
+        assert loose["duality-audit"].startswith("0/10 ")
+        assert loose["composition-audit"] == default["composition-audit"]
+
 
 @pytest.mark.slow
 class TestVerifyAll:

@@ -20,7 +20,6 @@ from padic_affine.padic import (
     SECOND_INSIDE_FIRST,
     INFINITY,
     fraction_abs_p,
-    fraction_digits,
     fraction_valuation,
 )
 
@@ -78,22 +77,21 @@ class TestValuation:
 
 
 class TestDigits:
-    @given(x=rationals, p=st.sampled_from(PRIMES), lo=st.integers(-4, 0),
-           hi=st.integers(1, 6))
-    def test_reconstruction(self, x, p, lo, hi):
-        """Summing d_i p^i over the window recovers x modulo p^{hi+1} within
-        the p-adic metric, relative to the truncation below lo."""
-        ds = fraction_digits(x, p, lo, hi)
-        assert all(0 <= d < p for d in ds)
-        partial = sum(
-            d * Fraction(p) ** (lo + i) for i, d in enumerate(ds)
-        )
-        if fraction_valuation(x, p) is not INFINITY and fraction_valuation(x, p) >= lo:
-            assert fraction_valuation(x - partial, p) == INFINITY or \
-                fraction_valuation(x - partial, p) > hi
+    """The digits a ball's key lists, read back as a p-adic expansion."""
+
+    @given(x=rationals, p=st.sampled_from(PRIMES), k=st.integers(-6, 4))
+    def test_reconstruction(self, x, p, k):
+        """Summing d p^i over the key of B(x; k) recovers x modulo
+        p^{-k} Z_p: the key is x's expansion below position -k."""
+        key = Ball.from_center(Padic(PadicContext(p), x), k).key
+        assert all(0 < d < p and i < -k for i, d in key)
+        assert [i for i, _ in key] == sorted({i for i, _ in key})
+        partial = sum((d * Fraction(p) ** i for i, d in key), Fraction(0))
+        assert fraction_valuation(x - partial, p) >= -k
 
     def test_worked_half_in_q3(self):
-        assert fraction_digits(Fraction(1, 2), 3, 0, 3) == [2, 1, 1, 1]
+        ball = Ball.from_center(PadicContext(3).rational(1, 2), -6)
+        assert ball.key == ((0, 2), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1))
 
 
 class TestPadicOps:

@@ -33,7 +33,7 @@ PRIMES = [2, 3, 5]
 
 
 def ref_contains(ball, x):
-    return (x - ball.center).valuation() >= -ball.radius_exp
+    return fraction_valuation((x - ball.center).frac, ball.ctx.p) >= -ball.radius_exp
 
 
 @pytest.fixture
