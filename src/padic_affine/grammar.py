@@ -20,128 +20,115 @@ from fractions import Fraction
 
 from .affine import AffineElement
 from .errors import ParseError
-from .padic import Ball, ClopenSet, Padic, PadicContext, first_overlap
+from .padic import Ball, ClopenSet, Padic, PadicContext, ball_key, first_overlap
 from .poisson import EQ, GE, LE, CountEvent, CylinderFunction, Exponential, Polynomial
 from .stepfn import PADIC, REAL, StepFunction
 
+# whitespace matches no group and is skipped; any other character is `bad`
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<int>-?\d+)
+    (?P<int>-?\d+)
   | (?P<name>[A-Za-z_]\w*)
   | (?P<op><=|>=|[{}();:,|<>=&^*/])
+  | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+def _position(text: str, off: int) -> tuple:
+    """(line, column) of offset `off`, counted only when an error is raised."""
+    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
 def _tokenize(text: str) -> list:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    """(kind, text, offset) tuples from one regex pass, ending in eof."""
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, chunk, off in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {chunk!r}", *_position(text, off))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class Parser:
-    """Recursive-descent parser over the literal grammar for a fixed prime."""
+    """Recursive-descent parser over the literal grammar for a fixed prime.
+    A token is a (kind, text, offset) tuple."""
 
     def __init__(self, text: str, ctx: PadicContext):
+        self.text = text
         self.tokens = _tokenize(text)
         self.ctx = ctx
         self.pos = 0
 
     # -- token plumbing -----------------------------------------------------
 
-    def _peek(self) -> _Token:
+    def _peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def _next(self) -> _Token:
+    def _next(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def _expect(self, text: str) -> _Token:
+    def _expect(self, text: str) -> tuple:
         tok = self._next()
-        if tok.text != text:
-            raise ParseError(
-                f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
+        if tok[1] != text:
+            found = tok[1] or "end of input"
+            raise self._error(f"expected {text!r}, found {found!r}", tok)
         return tok
 
-    def _error(self, message: str, tok=None):
-        tok = tok or self._peek()
-        raise ParseError(message, tok.line, tok.column)
+    def _error(self, message: str, tok=None) -> ParseError:
+        """The error at `tok`, by default the next token."""
+        return ParseError(message, *_position(self.text, (tok or self._peek())[2]))
 
     def finish(self, value):
         tok = self._peek()
-        if tok.kind != "eof":
-            self._error(f"trailing input starting at {tok.text!r}")
+        if tok[0] != "eof":
+            raise self._error(f"trailing input starting at {tok[1]!r}")
         return value
 
     # -- grammar ------------------------------------------------------------
 
-    def rational(self) -> Fraction:
+    def _ratio(self) -> tuple:
+        """(numerator, denominator) of a rational literal; the denominator
+        is positive and 1 when omitted."""
         tok = self._next()
-        if tok.kind != "int":
-            self._error("expected a rational literal", tok)
-        num = int(tok.text)
-        if self._peek().text == "/":
-            self._next()
-            den_tok = self._next()
-            if den_tok.kind != "int" or int(den_tok.text) <= 0:
-                self._error("expected a positive denominator", den_tok)
-            return Fraction(num, int(den_tok.text))
-        return Fraction(num)
+        if tok[0] != "int":
+            raise self._error("expected a rational literal", tok)
+        if self._peek()[1] != "/":
+            return int(tok[1]), 1
+        self.pos += 1
+        den = self._next()
+        if den[0] != "int" or int(den[1]) <= 0:
+            raise self._error("expected a positive denominator", den)
+        return int(tok[1]), int(den[1])
+
+    def rational(self) -> Fraction:
+        return Fraction(*self._ratio())
 
     def integer(self) -> int:
         tok = self._next()
-        if tok.kind != "int":
-            self._error("expected an integer", tok)
-        return int(tok.text)
+        if tok[0] != "int":
+            raise self._error("expected an integer", tok)
+        return int(tok[1])
 
     def ball(self) -> Ball:
-        tok = self._expect("B")
+        # the key comes from the literal's integers: no Fraction, no Padic
+        self._expect("B")
         self._expect("(")
-        center = self.rational()
+        n, d = self._ratio()
         self._expect(";")
         radius = self.integer()
         self._expect(")")
-        return Ball.from_center(Padic(self.ctx, center), radius)
+        return Ball(self.ctx, radius, ball_key(self.ctx.p, n, d, radius))
 
     def clopen(self) -> ClopenSet:
         self._expect("{")
         balls = []
-        if self._peek().text != "}":
+        if self._peek()[1] != "}":
             balls.append(self.ball())
-            while self._peek().text == ",":
+            while self._peek()[1] == ",":
                 self._next()
                 balls.append(self.ball())
         self._expect("}")
@@ -149,75 +136,75 @@ class Parser:
         clash = first_overlap(balls)
         if clash is not None:
             i, j = (balls[k] for k in clash)
-            self._error(f"balls {i} and {j} overlap")
+            raise self._error(f"balls {i} and {j} overlap")
         return ClopenSet.of(self.ctx, balls)
 
     def step(self, kind: str = REAL) -> StepFunction:
         open_tok = self._expect("{")
         parts = []
-        while self._peek().text == "B":
+        while self._peek()[1] == "B":
             b = self.ball()
             self._expect(":")
             parts.append((b, self.rational()))
-            if self._peek().text == ",":
+            if self._peek()[1] == ",":
                 self._next()
         self._expect("|")
         tail_tok = self._next()
-        if tail_tok.text != "tail":
-            self._error("expected 'tail'", tail_tok)
+        if tail_tok[1] != "tail":
+            raise self._error("expected 'tail'", tail_tok)
         tail = self.rational()
         self._expect("}")
         try:
             return StepFunction.make(self.ctx, kind, parts, tail)
         except Exception as exc:
-            raise ParseError(str(exc), open_tok.line, open_tok.column) from exc
+            raise self._error(str(exc), open_tok) from exc
 
     def affine(self) -> AffineElement:
         head = self._expect("aff")
         self._expect("(")
         name = self._next()
-        if name.text != "a":
-            self._error("expected 'a ='", name)
+        if name[1] != "a":
+            raise self._error("expected 'a ='", name)
         self._expect("=")
         a = self.step(PADIC)
         self._expect(",")
         name = self._next()
-        if name.text != "b":
-            self._error("expected 'b ='", name)
+        if name[1] != "b":
+            raise self._error("expected 'b ='", name)
         self._expect("=")
         b = self.step(PADIC)
         self._expect(")")
         try:
             return AffineElement(a, b)
         except Exception as exc:
-            raise ParseError(str(exc), head.line, head.column) from exc
+            raise self._error(str(exc), head) from exc
 
     def cylinder(self) -> CylinderFunction:
         tok = self._next()
-        if tok.text == "exp":
+        if tok[1] == "exp":
             self._expect("{")
             self._expect("<")
             f = self.step(REAL)
             self._expect(">")
             self._expect("}")
             return Exponential(f)
-        if tok.text == "poly":
+        if tok[1] == "poly":
             self._expect("{")
             factors = [self._poly_factor()]
-            while self._peek().text == "*":
+            while self._peek()[1] == "*":
                 self._next()
                 factors.append(self._poly_factor())
             self._expect("}")
             return Polynomial(tuple(factors))
-        if tok.text == "event":
+        if tok[1] == "event":
             self._expect("{")
             conditions = [self._condition()]
-            while self._peek().text == "&":
+            while self._peek()[1] == "&":
                 self._next()
                 conditions.append(self._condition())
             self._expect("}")
             return CountEvent(tuple(conditions))
-        self._error("expected exp, poly or event", tok)
+        raise self._error("expected exp, poly or event", tok)
 
     def _poly_factor(self):
         self._expect("<")
@@ -226,45 +213,45 @@ class Parser:
         self._expect("^")
         power = self.integer()
         if power < 1:
-            self._error("powers must be positive")
+            raise self._error("powers must be positive")
         return (f, power)
 
     def _condition(self):
         self._expect("N")
         self._expect("(")
-        if self._peek().text == "B":
+        if self._peek()[1] == "B":
             sets = ClopenSet.of(self.ctx, [self.ball()])
         else:
             sets = self.clopen()
         self._expect(")")
         op_tok = self._next()
-        if op_tok.text not in (EQ, LE, GE):
-            self._error("expected =, <= or >=", op_tok)
+        if op_tok[1] not in (EQ, LE, GE):
+            raise self._error("expected =, <= or >=", op_tok)
         count = self.integer()
         if count < 0:
-            self._error("counts are nonnegative")
-        return (sets, op_tok.text, count)
+            raise self._error("counts are nonnegative")
+        return (sets, op_tok[1], count)
 
     def value(self):
         """Dispatch on the leading token, reading a step function as real;
         called by parse_value."""
         tok = self._peek()
-        if tok.text == "aff":
+        if tok[1] == "aff":
             return self.affine()
-        if tok.text in ("exp", "poly", "event"):
+        if tok[1] in ("exp", "poly", "event"):
             return self.cylinder()
-        if tok.text == "B":
+        if tok[1] == "B":
             return self.ball()
-        if tok.text == "{":
+        if tok[1] == "{":
             # distinguish clopen from step function by lookahead
             i = self.pos + 1
-            if self.tokens[i].text == "}":
+            if self.tokens[i][1] == "}":
                 return self.clopen()
-            if self.tokens[i].text == "|":
+            if self.tokens[i][1] == "|":
                 return self.step()
             depth = 0
-            while self.tokens[i].kind != "eof":
-                t = self.tokens[i].text
+            while self.tokens[i][0] != "eof":
+                t = self.tokens[i][1]
                 if t == "(":
                     depth += 1
                 elif t == ")":
@@ -275,9 +262,9 @@ class Parser:
                     return self.clopen()
                 i += 1
             return self.clopen()
-        if tok.kind == "int":
+        if tok[0] == "int":
             return Padic(self.ctx, self.rational())
-        self._error(f"cannot parse a value starting at {tok.text!r}")
+        raise self._error(f"cannot parse a value starting at {tok[1]!r}")
 
 
 # -- entry points -----------------------------------------------------------

@@ -82,7 +82,7 @@ def fraction_abs_p(x: Fraction, p: int) -> Fraction:
     return Fraction(1, p**v) if v > 0 else Fraction(p ** (-v))
 
 
-def _ball_key(p: int, n: int, d: int, k: int) -> tuple:
+def ball_key(p: int, n: int, d: int, k: int) -> tuple:
     """Key of B(n/d; k) for integers n and d != 0: the nonzero digits
     (position, digit) of n/d at positions below -k, read from one modular
     inverse; no Fraction is built."""
@@ -181,7 +181,7 @@ class Ball:
     @classmethod
     def from_center(cls, center: Padic, radius_exp: int) -> "Ball":
         n, d = center.frac.as_integer_ratio()
-        return cls(center.ctx, radius_exp, _ball_key(center.ctx.p, n, d, radius_exp))
+        return cls(center.ctx, radius_exp, ball_key(center.ctx.p, n, d, radius_exp))
 
     @property
     def center(self) -> Padic:
@@ -288,7 +288,7 @@ class Ball:
         bn, bd = b_val.as_integer_ratio()
         # (c + b)/a = (cn·bd + bn·cd)·ad / (cd·bd·an)
         k = self.radius_exp + _int_valuation(an, p) - _int_valuation(ad, p)
-        key = _ball_key(p, (cn * bd + bn * cd) * ad, cd * bd * an, k)
+        key = ball_key(p, (cn * bd + bn * cd) * ad, cd * bd * an, k)
         return Ball(self.ctx, k, key)
 
     def point(self, m: int) -> Padic:

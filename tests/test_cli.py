@@ -322,6 +322,28 @@ class TestAudit:
         assert loose["duality-audit"].startswith("0/10 ")
         assert loose["composition-audit"] == default["composition-audit"]
 
+    def test_lines_print_the_tolerance_they_were_judged_by(self, capsys):
+        """The isometry and duality counts print the caller's tolerance;
+        the composition count stays exact."""
+        argv = ["--p", "3", "--seed", "0", "--tolerance", "2"]
+        _, out, _ = run(capsys, *argv, "audit", "--trials", "10")
+        tolerances = {
+            line.split(":")[0].split()[1]: line.split("tolerance=")[1].split()[0]
+            for line in out.splitlines()
+        }
+        assert tolerances == {
+            "composition-audit": "1e-09",
+            "isometry-audit": "2",
+            "duality-audit": "2",
+        }
+        _, out, _ = run(capsys, *argv, "--json", "audit", "--trials", "10")
+        tolerances = {r["name"]: r["tolerance"] for r in json.loads(out)}
+        assert tolerances == {
+            "composition-audit": representation.EXACT_TOL,
+            "isometry-audit": 2.0,
+            "duality-audit": 2.0,
+        }
+
 
 @pytest.mark.slow
 class TestVerifyAll:

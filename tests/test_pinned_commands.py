@@ -3,7 +3,8 @@
 `test_pinned_output.py` and `test_pinned_reports.py` pin `verify-all`,
 `audit` and `sample`; these digests pin `pushforward`, `decouple` and the
 three (exact, Monte Carlo) check commands, in text and JSON at p = 2, 3, 5.
-Every pinned run exits 0 and one refused input exits 2. A change of any
+Every pinned run exits 0; one refused input and the multi-line parse
+errors at the end exit 2, with their stderr pinned. A change of any
 printed number, verdict or layout moves them, and a deliberate change of
 the output re-pins them.
 """
@@ -161,3 +162,59 @@ def test_nonzero_tail_exits_2(capsys, fmt):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: test function must vanish at infinity\n")
+
+
+# parse errors in multi-line @file literals: stderr and exit code pinned as
+# the line-and-column scanner printed them, p = 3
+PARSE_ERRORS = {
+    "bad character on line 3": (
+        "aff(a = {B(0;-1): 1/3,\n"
+        "         B(1;-1): 3 | tail 1},\n"
+        "    b = {B(1/3;0): 1 ? | tail 0})\n",
+        "parse error: unexpected character '?' (line 3, column 22)\n",
+    ),
+    "missing ) at end of input": (
+        "aff(a = {B(0;-1): 1/3, B(1;-1): 3 | tail 1},\n"
+        "    b = {B(1/3;0): 1 | tail 0}\n",
+        "parse error: expected ')', found 'end of input' (line 3, column 1)\n",
+    ),
+    "overlapping step literal indented by two spaces": (
+        "aff(a = {B(0;-1): 1/3 | tail 1},\n"
+        "    b =\n"
+        "  {B(0;0): 1, B(0;1): 2 | tail 0})\n",
+        "parse error: balls B(0;0) and B(0;1) overlap (line 3, column 3)\n",
+    ),
+    "\\r\\n file with a - and no digit": (
+        "aff(a = {B(0;-1): 1/3 | tail 1},\r\n"
+        "    b = {B(1/3;0): - | tail 0})\r\n",
+        "parse error: unexpected character '-' (line 2, column 20)\n",
+    ),
+    "tab before a negative denominator": (
+        "aff(a = {B(0;-1): 1/3 | tail 1},\n"
+        "\tb = {B(1/-3;0): 1 | tail 0})\n",
+        "parse error: expected a positive denominator (line 2, column 11)\n",
+    ),
+    "trailing input on line 4": (
+        "\n"
+        "aff(a = {B(0;-1): 1/3 | tail 1},\n"
+        "    b = {B(1/3;0): 1 | tail 0})\n"
+        "  )\n",
+        "parse error: trailing input starting at ')' (line 4, column 3)\n",
+    ),
+    "vanishing a after a blank line": (
+        "\n"
+        "  aff(a = {B(0;0): 0 | tail 1},\n"
+        "    b = {| tail 0})\n",
+        "parse error: a must be nonvanishing (line 2, column 3)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_in_file(capsys, tmp_path, case):
+    literal, stderr = PARSE_ERRORS[case]
+    path = tmp_path / "g.txt"
+    with open(path, "w", newline="") as fh:  # keep \r\n as written
+        fh.write(literal)
+    assert main(["--p", "3", "pushforward", "--g", f"@{path}"]) == 2
+    assert capsys.readouterr() == ("", stderr)
