@@ -82,6 +82,13 @@ class Parser:
         """The error at `tok`, by default the next token."""
         return ParseError(message, *_position(self.text, (tok or self._peek())[2]))
 
+    def _made(self, tok, make, *args):
+        """make(*args), its refusal raised as the error at `tok`."""
+        try:
+            return make(*args)
+        except Exception as exc:
+            raise self._error(str(exc), tok) from exc
+
     def finish(self, value):
         tok = self._peek()
         if tok[0] != "eof":
@@ -154,10 +161,7 @@ class Parser:
             raise self._error("expected 'tail'", tail_tok)
         tail = self.rational()
         self._expect("}")
-        try:
-            return StepFunction.make(self.ctx, kind, parts, tail)
-        except Exception as exc:
-            raise self._error(str(exc), open_tok) from exc
+        return self._made(open_tok, StepFunction.make, self.ctx, kind, parts, tail)
 
     def affine(self) -> AffineElement:
         head = self._expect("aff")
@@ -174,10 +178,7 @@ class Parser:
         self._expect("=")
         b = self.step(PADIC)
         self._expect(")")
-        try:
-            return AffineElement(a, b)
-        except Exception as exc:
-            raise self._error(str(exc), head) from exc
+        return self._made(head, AffineElement, a, b)
 
     def cylinder(self) -> CylinderFunction:
         tok = self._next()
@@ -187,7 +188,7 @@ class Parser:
             f = self.step(REAL)
             self._expect(">")
             self._expect("}")
-            return Exponential(f)
+            return self._made(tok, Exponential, f)
         if tok[1] == "poly":
             self._expect("{")
             factors = [self._poly_factor()]
@@ -195,7 +196,7 @@ class Parser:
                 self._next()
                 factors.append(self._poly_factor())
             self._expect("}")
-            return Polynomial(tuple(factors))
+            return self._made(tok, Polynomial, tuple(factors))
         if tok[1] == "event":
             self._expect("{")
             conditions = [self._condition()]
@@ -203,7 +204,7 @@ class Parser:
                 self._next()
                 conditions.append(self._condition())
             self._expect("}")
-            return CountEvent(tuple(conditions))
+            return self._made(tok, CountEvent, tuple(conditions))
         raise self._error("expected exp, poly or event", tok)
 
     def _poly_factor(self):

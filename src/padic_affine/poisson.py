@@ -223,12 +223,21 @@ exp(-rate) clear of underflow and every count inside the table."""
 _TABLE_END = 1000  # the last k whose P(N <= k) a table holds
 
 
-def _check_total(total: Fraction) -> Fraction:
+def _atoms(cells: list) -> tuple:
+    """(atoms, total): (cell, exact rate, other values) for each refine_window
+    cell whose last value, the density, is positive, at rate density·measure,
+    and the exact sum of those rates, refused past MAX_POINTS."""
+    atoms = [
+        (cell, values[-1] * cell.measure, values[:-1])
+        for cell, values in cells
+        if values[-1] > 0
+    ]
+    total = sum((rate for _, rate, _ in atoms), Fraction(0))
     if total > MAX_POINTS:
         raise PadicAffineError(
             f"the expected point count exceeds the cap of {MAX_POINTS}"
         )
-    return total
+    return atoms, total
 
 
 def _cdf_table(lam: float) -> list:
@@ -297,17 +306,15 @@ class PreparedDraw:
     __slots__ = ("window", "balls", "weights", "variate")
 
     def __init__(self, mu: IntensityMeasure, window: ClopenSet):
-        cells = refine_window(window, [mu.density])
-        atoms = [(ball, v * ball.measure) for ball, (v,) in cells if v > 0]
-        total = _check_total(sum((rate for _, rate in atoms), Fraction(0)))
-        den = math.lcm(*(rate.denominator for _, rate in atoms))
+        atoms, total = _atoms(refine_window(window, [mu.density]))
+        den = math.lcm(*(rate.denominator for _, rate, _ in atoms))
         acc = 0
         weights = []
-        for _, rate in atoms:
+        for _, rate, _ in atoms:
             acc += rate.numerator * (den // rate.denominator)
             weights.append(acc)
         self.window = window
-        self.balls = [ball for ball, _ in atoms]
+        self.balls = [ball for ball, _, _ in atoms]
         self.weights = weights
         self.variate = PoissonVariate(float(total)) if atoms else None
 
@@ -485,31 +492,29 @@ def _chunk_rng(seed: int, index: int) -> random.Random:
 
 
 def mc_atoms(mu: IntensityMeasure, fns: list) -> list:
-    """Sampling atoms (cell, rate, values) for count-based estimators, over
-    the cells of window_cells.
+    """Sampling atoms (cell, rate, values) for count-based estimators: the
+    _atoms of window_cells, each rate as a float.
 
     Every listed function is constant per cell, so any descriptor value is a
     function of the per-cell counts alone; estimating from counts is
     distribution-exact, not an approximation.
     """
-    atoms = [
-        (cell, values[-1] * cell.measure, values[:-1])
-        for cell, values in window_cells(mu, fns)
-        if values[-1] > 0
-    ]
-    _check_total(sum((rate for _, rate, _ in atoms), Fraction(0)))
+    atoms, _ = _atoms(window_cells(mu, fns))
     return [(cell, float(rate), values) for cell, rate, values in atoms]
 
 
 def mc_run(atoms: list, eval_counts, n: int, seed: int):
     """Mean and standard error of eval_counts over n Poisson draws.
 
-    eval_counts takes one draw's nonzero counts as (atom index, count) pairs
-    in atom order. The stream is pre-split into fixed-size chunks merged in
+    eval_counts takes one draw's nonzero counts as (atom index, count) pairs,
+    one per atom, in atom order; with no atoms every draw is the empty
+    configuration, []. The stream is pre-split into fixed-size chunks merged in
     index order, so the estimate is bit-identical for a given (seed, n).
 
     A draw reads one uniform per slot: one per atom, or one per piece of a
-    rate above SPLIT_RATE, in the order PoissonVariate.draw reads them. Each
+    rate above SPLIT_RATE, in the order PoissonVariate.draw reads them. A
+    piece is an ordinary slot with T = 0 below, and the nonzero counts of an
+    atom's pieces are summed into its one (atom index, count) pair. Each
     block of draws reads its uniforms with one getrandbits call: random() is
     (w0 >> 5, w1 >> 6) of two consecutive 32-bit outputs, which getrandbits
     emits in the same order, least significant first, so each uniform is one
@@ -524,17 +529,14 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
     """
     if n < 1:
         raise PadicAffineError("Monte Carlo runs need at least one sample")
-    plan = []  # per slot: (atom index, pieces, CDF table); None for later pieces
+    plan = []  # per slot: (atom index, CDF table)
     lift = bytearray()  # per slot: (256 - T) << 24 as one little-endian lane
     for i, (_, rate, _) in enumerate(atoms):
         variate = PoissonVariate(rate)
-        # a split rate has no zero shortcut: T = 0 marks its first piece in
-        # every draw, and T = 256 the rest in none
-        t = int(variate.zero * 256) if variate.pieces == 1 else 0
-        plan.append((i, variate.pieces, variate.table))
-        plan.extend([None] * (variate.pieces - 1))
-        lift += ((256 - t) << 24).to_bytes(8, "little")
-        lift += bytes(8 * (variate.pieces - 1))
+        # a split rate has no zero shortcut: T = 0 marks each of its pieces
+        t = int(max(variate.zero, 0.0) * 256)
+        plan += [(i, variate.table)] * variate.pieces
+        lift += ((256 - t) << 24).to_bytes(8, "little") * variate.pieces
     slots = len(plan)
     width = 8 * slots  # random bytes per draw
     rows = max(1, min(_BLOCK_DRAWS, _BLOCK_BYTES // max(width, 1)))
@@ -563,20 +565,17 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
             q = marked.find(1)  # q = row · slots + slot
             while q != -1:
                 r, slot = divmod(q, slots)
-                i, pieces, table = plan[slot]
-                size = len(table)
+                i, table = plan[slot]
                 w0, w1 = words(raw, 8 * q)
                 u = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * _STEP
-                k = bisect_left(table, u)
-                count = k if k < size else _TABLE_END + 1
-                if pieces > 1:  # a split rate sums the counts of its pieces
-                    for off in range(8 * q + 8, 8 * (q + pieces), 8):
-                        w0, w1 = words(raw, off)
-                        u = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * _STEP
-                        k = bisect_left(table, u)
-                        count += k if k < size else _TABLE_END + 1
+                count = bisect_left(table, u)
                 if count:
-                    nonzero[r].append((i, count))
+                    if count == len(table):
+                        count = _TABLE_END + 1
+                    pairs = nonzero[r]
+                    if pairs and pairs[-1][0] == i:  # pieces of a split rate
+                        count += pairs.pop()[1]
+                    pairs.append((i, count))
                 q = marked.find(1, q + 1)
             for pairs in nonzero:
                 v = eval_counts(pairs)
@@ -637,8 +636,4 @@ def expect_mc(f: CylinderFunction, mu: IntensityMeasure, n: int, seed: int):
     on an auto-derived window; deterministic for a fixed seed."""
     if n < 1000:
         raise PadicAffineError("Monte Carlo runs need n >= 1000")
-    atoms, ev = product_evaluator(mu, [f])
-    if not atoms:
-        # no point can land, so every configuration is the empty one
-        return ev([]), 0.0
-    return mc_run(atoms, ev, n, seed)
+    return mc_run(*product_evaluator(mu, [f]), n, seed)

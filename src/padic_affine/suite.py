@@ -102,10 +102,18 @@ def mass_conservation_trials(ctx, rng, trials) -> CheckReport:
     return count_report("mass-conservation", failures, trials)
 
 
+def _worked_pair(ctx) -> tuple:
+    """The worked contracting element g0 (a = p on Z_p, tail 1; b = 0) and
+    the test function f0 = 1/2 on Z_p, tail 0."""
+    z = Ball(ctx, 0, ())
+    g0 = AffineElement.from_parts(ctx, [(z, ctx.p)], [])
+    return g0, StepFunction.make(ctx, REAL, [(z, Fraction(1, 2))], 0)
+
+
 def worked_density_report(ctx) -> CheckReport:
     """The contracting worked element has the exact three-level density."""
     z = Ball(ctx, 0, ())
-    g0 = AffineElement.from_parts(ctx, [(z, ctx.p)], [])
+    g0, _ = _worked_pair(ctx)
     rho = pushforward(IntensityMeasure.haar(ctx), g0).density
     shell = ClopenSet.of(ctx, [Ball(ctx, 1, ())]).subtract(ClopenSet.of(ctx, [z]))
     p = ctx.p
@@ -142,24 +150,17 @@ def rn_trials(ctx, rng, trials) -> CheckReport:
 
 
 def isometry_reports(ctx, rng, trials) -> list:
-    haar_trials = 0
     failures = 0
     for _ in range(trials):
         g = random_measure_preserving(ctx, rng)
         f = random_test_function(ctx, rng)
-        r = check_isometry(g, f)
-        haar_trials += 1
-        if not r.passed:
+        if not check_isometry(g, f).passed:
             failures += 1
-    z = Ball(ctx, 0, ())
-    g0 = AffineElement.from_parts(ctx, [(z, ctx.p)], [])
-    f0 = StepFunction.make(ctx, REAL, [(z, Fraction(1, 2))], 0)
-    r0 = check_isometry(g0, f0)
-    if not r0.passed:
+    g0, f0 = _worked_pair(ctx)
+    if not check_isometry(g0, f0).passed:
         failures += 1
-    out = [count_report("isometry-preserving", failures, haar_trials + 1)]
-    g1 = g0.inverse()
-    audit = check_isometry(g1, f0)
+    out = [count_report("isometry-preserving", failures, trials + 1)]
+    audit = check_isometry(g0.inverse(), f0)
     audit.name = "isometry-contracting-audit"
     audit.audit = True
     out.append(audit)
@@ -333,9 +334,7 @@ def verify_all(p: int, seed: int, samples: int) -> list:
     f = random_test_function(ctx, rng)
     reports.append(check_rn_identity_mc(g, f, mc_samples, seed))
     reports.extend(isometry_reports(ctx, rng, 50))
-    z = Ball(ctx, 0, ())
-    g0 = AffineElement.from_parts(ctx, [(z, ctx.p)], [])
-    f0 = StepFunction.make(ctx, REAL, [(z, Fraction(1, 2))], 0)
+    g0, f0 = _worked_pair(ctx)
     reports.append(check_isometry_mc(g0.inverse(), f0, mc_samples, seed))
     reports.extend(decoupling_reports(ctx, rng, 50, mc_samples, seed))
     reports.extend(composition_reports(ctx, rng, 30))

@@ -189,6 +189,13 @@ class TestDecoupleAndSample:
         assert code == 2
         assert "empty" in err
 
+    def test_window_past_the_point_cap_rejected(self, capsys):
+        # Haar mass of B(0;20) at p = 2 is 2^20 > MAX_POINTS
+        code, out, err = run(capsys, "--p", "2", "sample", "--window", "{B(0;20)}")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap" in err
+
 
 class TestErrorsAndConfig:
     def test_parse_error_exit_2(self, capsys):

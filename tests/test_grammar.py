@@ -161,6 +161,22 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_value("aff(a = {| tail 0}, b = {| tail 0})", ctx)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("exp{<{B(0;-1): 2/3 | tail 9}>}",
+             "test function must vanish at infinity"),
+            ("poly{<{B(0;0): 1 | tail 1}>^2}",
+             "polynomial factors need real f, tail 0"),
+        ],
+    )
+    def test_descriptor_refusal_is_positioned(self, text, message):
+        # the descriptor's own refusal, at the descriptor's head token
+        with pytest.raises(ParseError) as err:
+            parse_value(text, PadicContext(2))
+        assert err.value.message == message
+        assert (err.value.line, err.value.column) == (1, 1)
+
     def test_unexpected_character(self, ctx):
         with pytest.raises(ParseError):
             parse_value("B(0;0) @", ctx)

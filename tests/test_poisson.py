@@ -353,3 +353,49 @@ class TestMonteCarlo:
         f = Exponential(indicator_step(self.ctx, self.z, Fraction(1, 2)))
         with pytest.raises(Exception):
             expect_mc(f, self.haar, 10, 3)
+
+
+class TestPointCap:
+    """MAX_POINTS bounds the exact expected point count of a draw: a total
+    at the cap is accepted, one half a point past it is refused."""
+
+    def measure(self, ctx, total):
+        z = unit_ball(ctx)  # Haar measure 1, so the rate is the density
+        return IntensityMeasure(StepFunction.make(ctx, REAL, [(z, total)], 1)), z
+
+    @pytest.mark.parametrize(
+        "total, accepted",
+        [(Fraction(poisson.MAX_POINTS), True),
+         (poisson.MAX_POINTS + Fraction(1, 2), False)],
+    )
+    def test_prepared_draw_and_mc_atoms(self, total, accepted):
+        ctx = PadicContext(2)
+        mu, z = self.measure(ctx, total)
+        window = ClopenSet.of(ctx, [z])
+        if accepted:
+            assert poisson.PreparedDraw(mu, window).weights == [total]
+            assert poisson.mc_atoms(mu, []) == [(z, float(total), ())]
+            return
+        with pytest.raises(PadicAffineError, match="exceeds the cap"):
+            poisson.PreparedDraw(mu, window)
+        with pytest.raises(PadicAffineError, match="exceeds the cap"):
+            poisson.mc_atoms(mu, [])
+
+
+def test_mc_run_sums_split_pieces_into_one_pair():
+    """Each row mc_run hands the evaluator holds at most one pair per atom,
+    in increasing atom order, when split and unsplit rates are mixed."""
+    rates = [0.5, 2100.0, 3.0, 1500.0, 701.0, 40.0]
+    assert [poisson.PoissonVariate(r).pieces > 1 for r in rates] == [
+        False, True, False, True, True, False,
+    ]
+    atoms = [(None, rate, ()) for rate in rates]
+    rows = []
+    poisson.mc_run(atoms, lambda pairs: rows.append(list(pairs)) or 0.0, 300, 4)
+    assert len(rows) == 300
+    for pairs in rows:
+        indices = [i for i, _ in pairs]
+        assert indices == sorted(set(indices))
+        assert all(c > 0 for _, c in pairs)
+    # every split rate draws a nonzero count on every row
+    assert all({1, 3, 4} <= {i for i, _ in pairs} for pairs in rows)
