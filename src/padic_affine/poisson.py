@@ -5,8 +5,10 @@ Cylinder functionals are restricted to a closed descriptor family:
 exponentials, polynomials and count events. Three shapes have a closed-form
 expectation: exponentials, polynomials of degree <= 2, and count events on
 pairwise disjoint sets; every other expectation goes through Monte Carlo.
-All sampling rates are exact rationals; floats appear only in final
-exponentials and in estimator accumulation.
+Sampling rates are exact: an atom table holds integer weights over one
+common denominator, and a float rate is one correctly rounded int division
+of the two; floats otherwise appear only in final exponentials and in
+estimator accumulation.
 """
 
 from __future__ import annotations
@@ -224,20 +226,27 @@ _TABLE_END = 1000  # the last k whose P(N <= k) a table holds
 
 
 def _atoms(cells: list) -> tuple:
-    """(atoms, total): (cell, exact rate, other values) for each refine_window
-    cell whose last value, the density, is positive, at rate density·measure,
-    and the exact sum of those rates, refused past MAX_POINTS."""
+    """(atoms, den): (cell, w, other values) for each refine_window cell
+    whose last value, the density n/d, is positive. On a cell of radius k
+    the integer weight w = n·(L/d)·p^(k+s) makes w/den its exact rate
+    density·measure, over den = L·p^s with L the lcm of the d and
+    s = max(0, -min k). A total past MAX_POINTS is refused, in integers."""
+    live = [(cell, v[-1], v[:-1]) for cell, v in cells if v[-1].numerator > 0]
+    if not live:
+        return [], 1
+    lcm = math.lcm(*(rho.denominator for _, rho, _ in live))
+    s = max(0, -min(cell.radius_exp for cell, _, _ in live))
+    p = live[0][0].ctx.p
     atoms = [
-        (cell, values[-1] * cell.measure, values[:-1])
-        for cell, values in cells
-        if values[-1] > 0
+        (cell, rho.numerator * lcm // rho.denominator * p ** (cell.radius_exp + s), vs)
+        for cell, rho, vs in live
     ]
-    total = sum((rate for _, rate, _ in atoms), Fraction(0))
-    if total > MAX_POINTS:
+    den = lcm * p**s
+    if sum(w for _, w, _ in atoms) > MAX_POINTS * den:
         raise PadicAffineError(
             f"the expected point count exceeds the cap of {MAX_POINTS}"
         )
-    return atoms, total
+    return atoms, den
 
 
 def _cdf_table(lam: float) -> list:
@@ -296,27 +305,27 @@ class PoissonVariate:
 class PreparedDraw:
     """The Poisson law with intensity rho·m on one window, prepared once.
 
-    Holds the atoms of one refine_window pass, their exact rates as integer
-    cumulative weights W_i over a common denominator (total T), and the
-    variate table of the total rate. A uniform u is the exact binary
-    fraction num/den, so the first atom with u·T < W_i, the one an exact
-    cumulative scan picks, is found by bisection in integers.
+    Holds the atoms of one refine_window pass, the running sums W_i of
+    their integer weights over the one denominator den of _atoms (total
+    T = W_last), and the variate table of the total rate T/den. A uniform
+    u is the exact binary fraction num/den_u, so the first atom with
+    u·T < W_i, the one an exact cumulative scan picks, is found by
+    bisection in integers.
     """
 
     __slots__ = ("window", "balls", "weights", "variate")
 
     def __init__(self, mu: IntensityMeasure, window: ClopenSet):
-        atoms, total = _atoms(refine_window(window, [mu.density]))
-        den = math.lcm(*(rate.denominator for _, rate, _ in atoms))
+        atoms, den = _atoms(refine_window(window, [mu.density]))
         acc = 0
         weights = []
-        for _, rate, _ in atoms:
-            acc += rate.numerator * (den // rate.denominator)
+        for _, w, _ in atoms:
+            acc += w
             weights.append(acc)
         self.window = window
         self.balls = [ball for ball, _, _ in atoms]
         self.weights = weights
-        self.variate = PoissonVariate(float(total)) if atoms else None
+        self.variate = PoissonVariate(weights[-1] / den) if atoms else None
 
     def pick(self, u: float) -> int:
         """Index of the atom that an exact cumulative scan picks for u."""
@@ -332,10 +341,11 @@ def sample_keys(
     (balls, keys), the atom balls of the prepared draw and the distinct keys
     (atom index, m) in draw order, key (i, m) naming the point balls[i].point(m).
 
-    This is the one draw loop. Atom rates are exact rationals; the atom
-    choice compares the uniform draw against exact cumulative weights. The
-    prepared draw is kept on mu for the next call with an equal window.
-    Duplicate keys (possible only through finite depth) get more digits.
+    This is the one draw loop. Atom rates are exact integer weights over
+    one denominator; the atom choice compares the uniform draw against
+    their exact cumulative sums. The prepared draw is kept on mu for the
+    next call with an equal window. Duplicate keys (possible only through
+    finite depth) get more digits.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -390,12 +400,18 @@ def window_cells(mu: IntensityMeasure, fns: list) -> list:
     return refine_window(ClopenSet(mu.ctx, (Ball(mu.ctx, max(r, 0), ()),)), fns)
 
 
+def _mass(rho: Fraction, cell: Ball) -> float:
+    """float(rho·p^k) for a cell of radius k, as one int division."""
+    p, k = cell.ctx.p, cell.radius_exp
+    return rho.numerator * p ** max(k, 0) / (rho.denominator * p ** max(-k, 0))
+
+
 def laplace_sum(cells: list) -> float:
     """The integral of (e^f - 1) rho dm over (cell, (f, rho)) cells; one
     float exponential per cell."""
     try:
         total = math.fsum(
-            math.expm1(fv) * float(rv * cell.measure) for cell, (fv, rv) in cells
+            math.expm1(fv) * _mass(rv, cell) for cell, (fv, rv) in cells
         )
         if math.isfinite(total):  # a product past a float's range is inf
             return total
@@ -493,14 +509,15 @@ def _chunk_rng(seed: int, index: int) -> random.Random:
 
 def mc_atoms(mu: IntensityMeasure, fns: list) -> list:
     """Sampling atoms (cell, rate, values) for count-based estimators: the
-    _atoms of window_cells, each rate as a float.
+    _atoms of window_cells, each rate the float w/den, one int division,
+    which is the float of the exact rate.
 
     Every listed function is constant per cell, so any descriptor value is a
     function of the per-cell counts alone; estimating from counts is
     distribution-exact, not an approximation.
     """
-    atoms, _ = _atoms(window_cells(mu, fns))
-    return [(cell, float(rate), values) for cell, rate, values in atoms]
+    atoms, den = _atoms(window_cells(mu, fns))
+    return [(cell, w / den, values) for cell, w, values in atoms]
 
 
 def mc_run(atoms: list, eval_counts, n: int, seed: int):

@@ -125,8 +125,10 @@ class StepFunction:
         return max([0, *(b.enclosing_zero_exp() for b, _ in self.parts)])
 
     def deviation_support(self) -> ClopenSet:
-        """Exact clopen set where the function differs from its tail."""
-        return ClopenSet.of(self.ctx, [b for b, _ in self.parts])
+        """Exact clopen set where the function differs from its tail: the
+        parts' balls, already disjoint, with complete sibling families merged."""
+        merged = merge_siblings(self.ctx, [(b, None) for b, _ in self.parts])
+        return ClopenSet(self.ctx, tuple(b for b, _ in merged))
 
     # -- evaluation and algebra --------------------------------------------
 

@@ -1,6 +1,10 @@
 """Command line behavior: argument handling, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +253,44 @@ class TestErrorsAndConfig:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+class TestProcessBoundary:
+    """`python -m padic_affine.cli` as a separate process: the module's
+    entry point, its exit codes and its streams, with no option taken from
+    the environment."""
+
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    def spawn(self, *argv):
+        env = {k: v for k, v in os.environ.items() if not k.startswith("PADIC_AFFINE_")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [self.SRC, *filter(None, [env.get("PYTHONPATH")])]
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "padic_affine.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    def test_verify_all_matches_in_process(self, capsys, monkeypatch):
+        argv = ["--p", "3", "--seed", "42", "--json", "verify-all"]
+        done = self.spawn(*argv)
+        for name, _, _, _ in cli._OPTIONS:
+            monkeypatch.delenv(f"PADIC_AFFINE_{name.upper()}", raising=False)
+        code, out, _ = run(capsys, *argv)
+        assert (done.returncode, code) == (0, 0)
+        assert done.stdout == out
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "3", "pushforward", "--g", "aff(a = {B(0;0): 0 | tail 1}, b = {| tail 0})"],
+        ["--p", "4", "verify-all"],
+    ])
+    def test_errors_are_one_line_on_stderr(self, argv):
+        done = self.spawn(*argv)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert "Traceback" not in done.stderr
 
 
 class TestOptionResolution:

@@ -124,6 +124,30 @@ class TestAgainstMergeLoops:
         f = StepFunction.make(ctx, REAL, parts, tail)
         assert f.parts == ref_canonical_parts(ctx, parts, Fraction(tail))
 
+    @given(tail=st.integers(-1, 1), values=st.integers(1, 3), **cases)
+    @settings(max_examples=80, deadline=None)
+    def test_deviation_support(self, p, seed, root_exp, splits, tail, values):
+        """The merged balls of the parts, whatever their values, are the
+        union of those balls."""
+        ctx = PadicContext(p)
+        rng = random.Random(seed)
+        parts = [
+            (b, Fraction(rng.randint(tail, tail + values - 1)))
+            for b in leaves(ctx, rng, root_exp, splits)
+            if rng.random() < 0.9
+        ]
+        f = StepFunction.make(ctx, REAL, parts, tail)
+        balls = [b for b, _ in f.parts]
+        assert f.deviation_support() == ClopenSet.of(ctx, balls)
+        assert f.deviation_support().balls == ref_canonical_balls(ctx, balls)
+
+    def test_deviation_support_merges_across_values(self):
+        ctx = PadicContext(3)
+        root = Ball(ctx, 0, ())
+        f = StepFunction.make(ctx, REAL, list(zip(root.children(), (1, 2, 3))), 0)
+        assert len(f.parts) == 3
+        assert f.deviation_support().balls == (root,)
+
     def test_families_merge_up_to_the_root(self):
         ctx = PadicContext(3)
         root = Ball(ctx, 1, ())
