@@ -390,22 +390,10 @@ def first_overlap(balls: list):
     return min(pairs, default=None)
 
 
-def split_cells(ball: Ball, cuts: list, values: tuple = ()) -> list:
-    """Partition of `ball` into sub-balls none of which has a cut strictly
-    inside it, as (cell, values) pairs, depth first, children in digit order.
-
-    `cuts` holds (ball, slot, value) triples whose balls lie strictly inside
-    `ball` (nesting allowed). A cell carries its parent's values, with
-    values[slot] = value for each cut whose ball equals the cell; that cell
-    is the cut's own Ball, so a center it has cached is kept."""
-    if not cuts:
-        return [(ball, values)]
-    out = []
-    _descend(ball, values, cuts, out)
-    return out
-
-
 def _descend(ball, values, cuts, out):
+    """Append the cells of `ball` to `out`, depth first, children in digit
+    order: `cuts` are the entries strictly inside it, and a cell equal to a
+    cut's ball is the last such entry's Ball, with that entry's value set."""
     k = ball.radius_exp
     pos = -k
     n = len(ball.key)
@@ -437,28 +425,43 @@ def _descend(ball, values, cuts, out):
             out.append((child, tuple(vals)))
 
 
-def split_union(entries, values: tuple, index: BallIndex = None) -> list:
+def split_union(entries, values: tuple) -> list:
     """Partition of the union of the balls of (ball, slot, value) entries
     into (cell, values) pairs. A cell carries, for each slot, the value of
-    the smallest entry of that slot around it, else values[slot]; balls may
-    nest and repeat, within a slot and across slots.
+    the smallest entry of that slot around it, else values[slot]; balls of
+    one p may nest and repeat, within a slot and across slots.
 
-    One split_cells descent per root, an entry that lies inside no other;
-    an index passed in must hold exactly the entries' distinct balls."""
+    Entries group by (radius_exp, key). Taken largest radius first, each
+    finds its root, an entry inside no other, with one dict hit per root
+    radius; each root runs one descent, the trees in the order their first
+    member appears in the entries. A lone root is its first entry's Ball."""
     at = {}
     for entry in entries:
-        at.setdefault(entry[0], []).append(entry)
-    index = index or BallIndex(at.items())
+        at.setdefault((entry[0].radius_exp, entry[0].key), []).append(entry)
+    roots, radii = {}, {}  # radii: the roots' radii as an ordered set, descending
+    for slot in sorted(at, reverse=True):
+        ball = at[slot][0][0]
+        for big in reversed(radii):
+            root = roots.get((big, ball.truncate_key(big)))
+            if root is not None:
+                break
+        else:
+            root = slot
+            radii[slot[0]] = None
+        roots[slot] = root
     trees = {}
-    for ball in at:
-        trees.setdefault(index.around(ball)[-1][0], []).append(ball)
+    for slot in at:
+        trees.setdefault(roots[slot], []).append(slot)
     cells = []
     for root, members in trees.items():
         top = list(values)
         for _, slot, value in at[root]:
             top[slot] = value
-        cuts = [entry for ball in members if ball is not root for entry in at[ball]]
-        cells.extend(split_cells(root, cuts, tuple(top)))
+        cuts = [entry for m in members if m is not root for entry in at[m]]
+        if cuts:
+            _descend(at[root][0][0], tuple(top), cuts, cells)
+        else:
+            cells.append((at[root][0][0], tuple(top)))
     return cells
 
 

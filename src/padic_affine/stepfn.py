@@ -84,11 +84,8 @@ class StepFunction:
         index = BallIndex(totals.items())
         # the value on a cell is that of the smallest entry around it: its
         # own total plus the totals of every entry around that one
-        cells = split_union(
-            [(b, 0, sum((v for _, v in index.around(b)), tail)) for b in totals],
-            (tail,),
-            index,
-        )
+        summed = [(b, 0, sum((v for _, v in index.around(b)), tail)) for b in totals]
+        cells = split_union(summed, (tail,))
         return cls._build(ctx, kind, [(cell, v) for cell, (v,) in cells], tail)
 
     @classmethod

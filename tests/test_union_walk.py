@@ -1,10 +1,12 @@
 """The union walk under the set algebra, and the descriptor checks beside it.
 
 padic.split_union is checked cell by cell against a relation scan over its
-entries; ClopenSet.intersect/subtract and StepFunction.integrate, which now
-run on it or on refine_window, are checked against the relation-scan
-references of test_ball_index, with the balls of one operand nested in,
-equal to or disjoint from the other's.
+entries, and against ref_split_union, the walk that found each ball's root
+through a BallIndex, for the same cells in the same order, cut cells being
+the entries' own Ball objects. ClopenSet.intersect/subtract and
+StepFunction.integrate, which now run on it or on refine_window, are checked
+against the relation-scan references of test_ball_index, with the balls of
+one operand nested in, equal to or disjoint from the other's.
 """
 
 import random
@@ -13,15 +15,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_ball_index import disjoint_balls, random_ball, ref_subtract
+from test_ball_index import disjoint_balls, random_ball, ref_subtract, wide_element
 
+from padic_affine import padic
 from padic_affine.errors import PadicAffineError
-from padic_affine.measure import IntensityMeasure
+from padic_affine.measure import IntensityMeasure, pushforward
 from padic_affine.padic import (
     EQUAL,
     FIRST_INSIDE_SECOND,
     SECOND_INSIDE_FIRST,
     Ball,
+    BallIndex,
     ClopenSet,
     PadicContext,
     first_overlap,
@@ -32,6 +36,7 @@ from padic_affine.poisson import (
     CountEvent,
     Exponential,
     Polynomial,
+    PreparedDraw,
     expect_exact,
 )
 from padic_affine.representation import check_factorization
@@ -139,6 +144,176 @@ def test_split_union_cells(p, seed, n, slots):
 
 def test_split_union_of_nothing():
     assert split_union([], (0,)) == []
+
+
+# -- the walk against the indexed walk it replaced -----------------------------------
+
+
+def ref_split_union(entries, values):
+    """The union walk keyed by Ball: each distinct ball's root is the last
+    entry of BallIndex.around, and each root runs one ref_descend."""
+    at = {}
+    for entry in entries:
+        at.setdefault(entry[0], []).append(entry)
+    index = BallIndex(at.items())
+    trees = {}
+    for ball in at:
+        trees.setdefault(index.around(ball)[-1][0], []).append(ball)
+    cells = []
+    for root, members in trees.items():
+        top = list(values)
+        for _, slot, value in at[root]:
+            top[slot] = value
+        cuts = [entry for ball in members if ball is not root for entry in at[ball]]
+        if cuts:
+            ref_descend(root, tuple(top), cuts, cells)
+        else:
+            cells.append((root, tuple(top)))
+    return cells
+
+
+def ref_descend(ball, values, cuts, out):
+    k = ball.radius_exp
+    n = len(ball.key)
+    groups = {}
+    for cut in cuts:
+        key = cut[0].key
+        digit = key[n][1] if len(key) > n and key[n][0] == -k else 0
+        groups.setdefault(digit, []).append(cut)
+    for digit in range(ball.ctx.p):
+        child = None
+        vals = list(values)
+        deeper = []
+        for cut in groups.get(digit, ()):
+            if cut[0].radius_exp == k - 1:
+                child = cut[0]
+                vals[cut[1]] = cut[2]
+            else:
+                deeper.append(cut)
+        if child is None:
+            child = ball.children()[digit]
+        if deeper:
+            ref_descend(child, tuple(vals), deeper, out)
+        else:
+            out.append((child, tuple(vals)))
+
+
+def assert_same_walk(entries, values):
+    """split_union and ref_split_union give the same cells with the same
+    values in the same order, and the same Ball object wherever the
+    reference hands back one of the entries' balls."""
+    got, want = split_union(entries, values), ref_split_union(entries, values)
+    given_balls = {id(entry[0]) for entry in entries}
+    assert [c for c, _ in got] == [c for c, _ in want]
+    assert [v for _, v in got] == [v for _, v in want]
+    for (cell, _), (ref, _) in zip(got, want):
+        if id(ref) in given_balls or id(cell) in given_balls:
+            assert cell is ref
+    return got
+
+
+def copy_of(ball):
+    return Ball(ball.ctx, ball.radius_exp, ball.key)
+
+
+@given(**cases, slots=st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_split_union_matches_the_indexed_walk(p, seed, n, slots):
+    """Shuffled entries with several roots, nesting, repeats within and
+    across slots, and balls given again as equal but distinct objects."""
+    ctx = PadicContext(p)
+    rng = random.Random(seed)
+    base = disjoint_balls(ctx, rng, n, splits=n)
+    balls = base + related_balls(ctx, rng, base, n)
+    balls += [copy_of(b) for b in rng.sample(balls, rng.randint(0, len(balls)))]
+    entries = [
+        (b, rng.randrange(slots), Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        for b in balls
+    ]
+    rng.shuffle(entries)
+    assert_same_walk(entries, tuple(range(-slots, 0)))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_split_union_order_and_identity(p):
+    """Trees in the order their first member appears; a cut cell given by
+    two equal Ball objects is the last of them, a lone root the first."""
+    ctx = PadicContext(p)
+    top = Ball(ctx, 1, ())
+    cut, cut_again = Ball(ctx, 0, ()), Ball(ctx, 0, ())
+    inner = Ball(ctx, -1, ((-1, 1),))  # inside B(1/p; 0), a child of top
+    lone = Ball.from_center(ctx.rational(1, p**2), 0)
+    far = Ball.from_center(ctx.rational(1, p**3), -1)
+    far_inner = far.children()[-1]
+    entries = [
+        (far_inner, 1, 7),  # far's tree comes first, before its root does
+        (cut, 0, 1),
+        (lone, 1, 2),
+        (top, 0, 3),
+        (inner, 1, 4),
+        (cut_again, 1, 5),
+        (copy_of(lone), 0, 6),
+        (far, 0, 8),
+    ]
+    cells = assert_same_walk(entries, (0, 0))
+    assert len(cells) == 3 * p
+    assert all(values[0] == 8 for _, values in cells[:p])
+    assert cells[p - 1] == (far_inner, (8, 7)) and cells[p - 1][0] is far_inner
+    assert cells[p] == (cut, (1, 5)) and cells[p][0] is cut_again
+    assert cells[p + 1] == (inner, (3, 4)) and cells[p + 1][0] is inner
+    assert cells[-1] == (lone, (6, 2)) and cells[-1][0] is lone
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_prepared_draw_matches_the_indexed_walk(p, monkeypatch):
+    """The atom order drives the random stream: a 64-part pushforward
+    density over its hull gives the same balls and weights either way."""
+    ctx = PadicContext(p)
+    g = wide_element(ctx, random.Random(f"walk-order:{p}"), 64)
+    mu = pushforward(IntensityMeasure.haar(ctx), g)
+    hull = Ball(ctx, max(g.enclosing_exp(), mu.density.enclosing_exp()), ())
+    window = ClopenSet.of(ctx, [hull])
+    draw = PreparedDraw(mu, window)
+    walks = []
+
+    def reference(entries, values):
+        walks.append(1)
+        return ref_split_union(entries, values)
+
+    monkeypatch.setattr(padic, "split_union", reference)
+    ref = PreparedDraw(mu, window)
+    assert walks and len(draw.balls) > 16
+    assert draw.balls == ref.balls
+    assert draw.weights == ref.weights
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_split_union_builds_no_index_and_hashes_no_ball(p, monkeypatch):
+    """The walk keys its entries by (radius, key) slot: over a hull and a
+    64-part density it builds no BallIndex and calls no Ball.__hash__."""
+    ctx = PadicContext(p)
+    g = wide_element(ctx, random.Random(f"walk-work:{p}"), 64)
+    density = pushforward(IntensityMeasure.haar(ctx), g).density
+    hull = Ball(ctx, max(g.enclosing_exp(), density.enclosing_exp()), ())
+    entries = [(hull, 0, 0)] + [(b, 1, v) for b, v in density.parts]
+    counts = {"index": 0, "hash": 0}
+    init, hash_ = BallIndex.__init__, Ball.__hash__
+
+    def counted_init(self, entries):
+        counts["index"] += 1
+        init(self, entries)
+
+    def counted_hash(self):
+        counts["hash"] += 1
+        return hash_(self)
+
+    monkeypatch.setattr(BallIndex, "__init__", counted_init)
+    monkeypatch.setattr(Ball, "__hash__", counted_hash)
+    hash(hull)
+    assert counts == {"index": 0, "hash": 1}  # the counter is live
+    cells = split_union(entries, (-1, density.tail))
+    assert len(cells) > len(density.parts)
+    assert counts == {"index": 0, "hash": 1}
 
 
 # -- the set algebra on it ---------------------------------------------------------
