@@ -184,10 +184,7 @@ def cmd_sample(args, cfg):
     if args.count < 1:
         raise PadicAffineError("count must be positive")
     haar = IntensityMeasure.haar(cfg.ctx)
-    hull = window.balls[0]
-    for b in window.balls:
-        if b.radius_exp > hull.radius_exp:
-            hull = b
+    hull = max(window.balls, key=lambda b: b.radius_exp)
     depth = required_depth([window], hull) + cfg.depth_margin
     rng = random.Random(f"sample:{cfg.seed}")
     configs = []

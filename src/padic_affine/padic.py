@@ -267,10 +267,6 @@ class Ball:
             out.append(Ball(self.ctx, k - 1, key))
         return out
 
-    def parent(self) -> "Ball":
-        k = self.radius_exp
-        return Ball(self.ctx, k + 1, self.truncate_key(k + 1))
-
     def enclosing_zero_exp(self) -> int:
         """Smallest R with this ball inside B(0; R)."""
         if not self.key:

@@ -400,7 +400,7 @@ def window_cells(mu: IntensityMeasure, fns: list) -> list:
     return refine_window(ClopenSet(mu.ctx, (Ball(mu.ctx, max(r, 0), ()),)), fns)
 
 
-def _mass(rho: Fraction, cell: Ball) -> float:
+def cell_mass(rho: Fraction, cell: Ball) -> float:
     """float(rho·p^k) for a cell of radius k, as one int division."""
     p, k = cell.ctx.p, cell.radius_exp
     return rho.numerator * p ** max(k, 0) / (rho.denominator * p ** max(-k, 0))
@@ -411,7 +411,7 @@ def laplace_sum(cells: list) -> float:
     float exponential per cell."""
     try:
         total = math.fsum(
-            math.expm1(fv) * _mass(rv, cell) for cell, (fv, rv) in cells
+            math.expm1(fv) * cell_mass(rv, cell) for cell, (fv, rv) in cells
         )
         if math.isfinite(total):  # a product past a float's range is inf
             return total

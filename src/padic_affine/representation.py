@@ -25,6 +25,7 @@ from .poisson import (
     CountEvent,
     CylinderFunction,
     Exponential,
+    cell_mass,
     exp_checked,
     laplace_exponent,
     laplace_sum,
@@ -211,12 +212,9 @@ def check_rn_identity(g: AffineElement, f: StepFunction) -> CheckReport:
     # first: it raises the typed error for an f whose exponential overflows
     # a float
     rhs_exp = laplace_sum(cells)
-    # E_m[R e^{<f>}] = exp(int (rho e^f - 1) dm), tail contributes 0; a
-    # cell's measure p^k is one int division
-    p = g.ctx.p
+    # E_m[R e^{<f>}] = exp(int (rho e^f - 1) dm), tail contributes 0
     lhs_exp = math.fsum(
-        (float(rv) * math.exp(fv) - 1.0)
-        * (p ** max(cell.radius_exp, 0) / p ** max(-cell.radius_exp, 0))
+        (float(rv) * math.exp(fv) - 1.0) * cell_mass(1, cell)
         for cell, (fv, rv) in cells
     )
     return _exp_report("rn-identity", lhs_exp, rhs_exp)

@@ -48,58 +48,57 @@ from .representation import (
 from .stepfn import REAL, StepFunction
 
 
+def _count(name, trials, fails) -> CheckReport:
+    """The count report on `trials` calls of fails(), each one trial's
+    number of failures (a bool counts as 0 or 1)."""
+    return count_report(name, sum(fails() for _ in range(trials)), trials)
+
+
 def group_axiom_trials(ctx, rng, trials) -> CheckReport:
     """Associativity, identity and two-sided inverse by exact canonical-form
     equality of stored pairs."""
     e = AffineElement.identity(ctx)
-    failures = 0
-    for _ in range(trials):
+
+    def fails():
         g1 = random_element(ctx, rng)
         g2 = random_element(ctx, rng)
         g3 = random_element(ctx, rng)
-        if multiply(multiply(g1, g2), g3) != multiply(g1, multiply(g2, g3)):
-            failures += 1
-        if multiply(g1, e) != g1 or multiply(e, g1) != g1:
-            failures += 1
         inv = g1.inverse()
-        if not multiply(g1, inv).is_identity():
-            failures += 1
-        if not multiply(inv, g1).is_identity():
-            failures += 1
-    return count_report("group-axioms", failures, trials)
+        return (
+            (multiply(multiply(g1, g2), g3) != multiply(g1, multiply(g2, g3)))
+            + (multiply(g1, e) != g1 or multiply(e, g1) != g1)
+            + (not multiply(g1, inv).is_identity())
+            + (not multiply(inv, g1).is_identity())
+        )
+
+    return _count("group-axioms", trials, fails)
 
 
 def orientation_trials(ctx, rng, trials) -> CheckReport:
     """The product's action at x equals left-factor-first composition of the
     section actions, exactly."""
-    failures = 0
-    for _ in range(trials):
+
+    def fails():
         g1 = random_element(ctx, rng)
         g2 = random_element(ctx, rng)
         x = random_point(ctx, rng)
-        prod = multiply(g1, g2)
-        via_product = prod.section(x).act(x)
-        via_sections = pair_product(g1.section(x), g2.section(x)).act(x)
-        if via_product != via_sections:
-            failures += 1
-        # constant-pair composition: the left factor acts first
-        left_first = pair_product(g1.section(x), g2.section(x))
-        y = g2.section(x).act(g1.section(x).act(x))
-        if left_first.act(x) != y:
-            failures += 1
-    return count_report("section-orientation", failures, trials)
+        s1, s2 = g1.section(x), g2.section(x)
+        via_product = multiply(g1, g2).section(x).act(x)
+        via_sections = pair_product(s1, s2).act(x)
+        # and constant-pair composition acts left factor first
+        return (via_product != via_sections) + (via_sections != s2.act(s1.act(x)))
+
+    return _count("section-orientation", trials, fails)
 
 
 def mass_conservation_trials(ctx, rng, trials) -> CheckReport:
     haar = IntensityMeasure.haar(ctx)
-    failures = 0
-    for _ in range(trials):
-        g = random_element(ctx, rng)
-        rho = pushforward(haar, g).density
-        support = rho.deviation_support()
-        if rho.integrate_transform(support, "one_minus") != 0:
-            failures += 1
-    return count_report("mass-conservation", failures, trials)
+
+    def fails():
+        rho = pushforward(haar, random_element(ctx, rng)).density
+        return rho.integrate_transform(rho.deviation_support(), "one_minus") != 0
+
+    return _count("mass-conservation", trials, fails)
 
 
 def _worked_pair(ctx) -> tuple:
@@ -127,17 +126,12 @@ def worked_density_report(ctx) -> CheckReport:
 
 def _exact_trials(name, check, ctx, rng, trials) -> CheckReport:
     """check(g, f) on random (g, f): the failures, and the worst defect."""
-    worst = 0.0
-    failures = 0
-    for _ in range(trials):
-        g = random_element(ctx, rng)
-        f = random_test_function(ctx, rng)
-        r = check(g, f)
-        worst = max(worst, r.defect)
-        if not r.passed:
-            failures += 1
-    out = count_report(name, failures, trials)
-    out.defect = worst
+    reports = [
+        check(random_element(ctx, rng), random_test_function(ctx, rng))
+        for _ in range(trials)
+    ]
+    out = count_report(name, sum(not r.passed for r in reports), trials)
+    out.defect = max([0.0, *(r.defect for r in reports)])
     return out
 
 
@@ -150,33 +144,27 @@ def rn_trials(ctx, rng, trials) -> CheckReport:
 
 
 def isometry_reports(ctx, rng, trials) -> list:
-    failures = 0
-    for _ in range(trials):
-        g = random_measure_preserving(ctx, rng)
-        f = random_test_function(ctx, rng)
-        if not check_isometry(g, f).passed:
-            failures += 1
+    failures = sum(
+        not check_isometry(
+            random_measure_preserving(ctx, rng), random_test_function(ctx, rng)
+        ).passed
+        for _ in range(trials)
+    )
     g0, f0 = _worked_pair(ctx)
-    if not check_isometry(g0, f0).passed:
-        failures += 1
-    out = [count_report("isometry-preserving", failures, trials + 1)]
+    failures += not check_isometry(g0, f0).passed
     audit = check_isometry(g0.inverse(), f0)
     audit.name = "isometry-contracting-audit"
-    audit.audit = True
-    out.append(audit)
-    return out
+    return [count_report("isometry-preserving", failures, trials + 1), audit]
 
 
 def decoupling_reports(ctx, rng, trials, samples, seed) -> list:
-    failures = 0
-    for _ in range(trials):
+    def fails():
         l1 = random_clopen(ctx, rng)
         l2 = random_clopen(ctx, rng)
-        g = find_decoupler(l1, l2)
-        post = decoupler_postconditions(g, l1, l2)
-        if not all(post.values()):
-            failures += 1
-    out = [count_report("decoupler-postconditions", failures, trials)]
+        post = decoupler_postconditions(find_decoupler(l1, l2), l1, l2)
+        return not all(post.values())
+
+    out = [_count("decoupler-postconditions", trials, fails)]
     f1 = random_test_function(ctx, rng)
     f2 = random_test_function(ctx, rng)
     fac = check_factorization(Exponential(f1), Exponential(f2))
@@ -213,21 +201,20 @@ def composition_reports(ctx, rng, trials) -> list:
         audit=True,
         note="pointwise group property fails on the recorded region",
     )
-    failures = 0
-    for _ in range(trials):
+
+    def fails():
         balls = random_disjoint_balls(ctx, rng, 2)
         if len(balls) < 2:
-            continue
+            return False
         b1, b2 = balls[0], balls[1]
         h1 = random_in_ball_shift(ctx, rng, b1)
         h2 = random_in_ball_shift(ctx, rng, b2)
         ga = AffineElement.from_parts(ctx, [], [(b1, h1)])
         gb = AffineElement.from_parts(ctx, [], [(b2, h2)])
         ftest = random_test_function(ctx, rng)
-        if not composition_defect(ga, gb, ftest).is_empty:
-            failures += 1
-    ok = count_report("composition-disjoint-pairs", failures, trials)
-    return [finding, ok]
+        return not composition_defect(ga, gb, ftest).is_empty
+
+    return [finding, _count("composition-disjoint-pairs", trials, fails)]
 
 
 def random_in_ball_shift(ctx, rng, ball) -> Fraction:
@@ -236,20 +223,18 @@ def random_in_ball_shift(ctx, rng, ball) -> Fraction:
 
 
 def support_shift_trials(ctx, rng, trials) -> CheckReport:
-    failures = 0
-    for _ in range(trials):
+    def fails():
         ball = Ball(ctx, rng.randint(0, 2), ())
         f = random_test_function(ctx, rng)
         support = f.deviation_support()
         if not support.subtract(ClopenSet.of(ctx, [ball])).is_empty:
-            continue  # keep only supp f inside B
+            return False  # keep only supp f inside B
         h = random_in_ball_shift(ctx, rng, ball)
         g = AffineElement.from_parts(ctx, [], [(ball, h)])
         shifted = g.act_function(f).deviation_support()
-        target = support.translate(-h)
-        if not shifted.subtract(target).is_empty:
-            failures += 1
-    return count_report("support-shift", failures, trials)
+        return not shifted.subtract(support.translate(-h)).is_empty
+
+    return _count("support-shift", trials, fails)
 
 
 def sampler_counts(ctx, seed, samples) -> tuple:
@@ -351,63 +336,38 @@ def audit_random(p: int, seed: int, trials: int, tolerance: float) -> list:
     isometry or duality defect is a finding when it exceeds `tolerance`."""
     ctx = PadicContext(p)
     rng = random.Random(f"audit:{seed}")
-    reports = []
-    comp_findings = 0
-    for _ in range(trials):
-        g1 = random_element(ctx, rng)
-        g2 = random_element(ctx, rng)
-        f = random_test_function(ctx, rng)
-        if not composition_defect(g1, g2, f).is_empty:
-            comp_findings += 1
-    reports.append(
-        count_report(
-            "composition-audit",
-            0,
-            trials,
-            audit=True,
-            note=f"{comp_findings}/{trials} triples violate the pointwise group property",
+
+    def findings(check, draws, judge) -> list:
+        """The results of `trials` checks, each on inputs drawn in turn by
+        `draws`, that judge(result) counts as findings."""
+        results = (
+            check(*[draw(ctx, rng) for draw in draws]) for _ in range(trials)
         )
+        return [r for r in results if judge(r)]
+
+    def beyond_tolerance(report) -> bool:
+        report.rejudge(tolerance)
+        return not report.passed
+
+    element, fn = random_element, random_test_function
+    comp = findings(
+        composition_defect, (element, element, fn), lambda r: not r.is_empty
     )
-    iso_findings = 0
-    worst = 0.0
-    for _ in range(trials):
-        g = random_element(ctx, rng)
-        f = random_test_function(ctx, rng)
-        r = check_isometry(g, f)
-        r.rejudge(tolerance)
-        if not r.passed:
-            iso_findings += 1
-            worst = max(worst, r.defect)
-    reports.append(
+    iso = findings(check_isometry, (element, fn), beyond_tolerance)
+    dual = findings(check_dual_pairing, (element, fn, fn), beyond_tolerance)
+    worst = max([0.0, *(r.defect for r in iso)])
+    reports = [
         count_report(
-            "isometry-audit",
-            0,
-            trials,
-            audit=True,
-            note=(
-                f"{iso_findings}/{trials} elements break isometry; "
-                f"worst relative defect {worst:.6g}"
-            ),
+            name, 0, trials, audit=True, note=f"{len(found)}/{trials} {what}"
         )
-    )
-    dual_findings = 0
-    for _ in range(trials):
-        g = random_element(ctx, rng)
-        f = random_test_function(ctx, rng)
-        q = random_test_function(ctx, rng)
-        r = check_dual_pairing(g, f, q)
-        r.rejudge(tolerance)
-        if not r.passed:
-            dual_findings += 1
-    reports.append(
-        count_report(
-            "duality-audit",
-            0,
-            trials,
-            audit=True,
-            note=f"{dual_findings}/{trials} triples violate the duality remark",
+        for name, found, what in (
+            ("composition-audit", comp,
+             "triples violate the pointwise group property"),
+            ("isometry-audit", iso,
+             f"elements break isometry; worst relative defect {worst:.6g}"),
+            ("duality-audit", dual, "triples violate the duality remark"),
         )
-    )
+    ]
     for r in reports[1:]:  # the two counts judged at the caller's tolerance
         r.tolerance = tolerance
     return reports

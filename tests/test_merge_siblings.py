@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_ball_index import ref_parent
 
 from padic_affine.padic import Ball, BallIndex, ClopenSet, PadicContext, merge_siblings
 from padic_affine.stepfn import REAL, StepFunction
@@ -26,7 +27,7 @@ def ref_canonical_balls(ctx, balls):
         return tuple(balls)
     unique = list({b: None for b in balls})
     index = BallIndex((b, None) for b in unique)
-    keep = [b for b in unique if index.covering(b.parent()) is None]
+    keep = [b for b in unique if index.covering(ref_parent(b)) is None]
     p = ctx.p
     changed = True
     while changed:
@@ -37,7 +38,7 @@ def ref_canonical_balls(ctx, balls):
         merged = []
         for members in groups.values():
             if len(members) == p:
-                merged.append(members[0].parent())
+                merged.append(ref_parent(members[0]))
                 changed = True
             else:
                 merged.extend(members)
@@ -62,7 +63,7 @@ def ref_canonical_parts(ctx, parts, tail):
         merged = []
         for members in groups.values():
             if len(members) == p and len({v for _, v in members}) == 1:
-                merged.append((members[0][0].parent(), members[0][1]))
+                merged.append((ref_parent(members[0][0]), members[0][1]))
                 changed = True
             else:
                 merged.extend(members)
@@ -105,7 +106,8 @@ class TestAgainstMergeLoops:
         balls = [b for b in leaves(ctx, rng, root_exp, splits) if rng.random() < 0.9]
         balls += rng.sample(balls, len(balls) // 4)
         for b in rng.sample(balls, len(balls) // 6):
-            balls.append(b.parent() if rng.random() < 0.5 else b.parent().parent())
+            parent = ref_parent(b)
+            balls.append(parent if rng.random() < 0.5 else ref_parent(parent))
         rng.shuffle(balls)
         assert ClopenSet.of(ctx, balls).balls == ref_canonical_balls(ctx, balls)
 

@@ -15,7 +15,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_ball_index import disjoint_balls, random_ball, ref_subtract, wide_element
+from test_ball_index import (
+    disjoint_balls, random_ball, ref_parent, ref_subtract, wide_element,
+)
 
 from padic_affine import padic
 from padic_affine.errors import PadicAffineError
@@ -67,7 +69,7 @@ def related_balls(ctx, rng, balls, n):
         elif kind == 1:
             out.append(descendant(b, rng, rng.randint(1, 3)))
         elif kind == 2:
-            out.append(b.parent())
+            out.append(ref_parent(b))
         else:
             out.append(random_ball(ctx, rng, -3, 2))
     return out
