@@ -139,6 +139,7 @@ class AffineElement:
         r = max(self.enclosing_exp(), f.enclosing_exp())
         index = BallIndex(f.parts)
         parts = []
+        uncovered = {}  # (radius, key) slot -> (img, inverse maps onto it)
         for cell, a_k, b_k in self.pieces(r):
             # x -> (x + b_k)/a_k maps cell onto img and keeps every ball
             # relation, so {x in cell : (x + b_k)/a_k in C_j} is all of cell
@@ -149,11 +150,13 @@ class AffineElement:
             if hit is not None:
                 parts.append((cell, hit[1]))
                 continue
-            inner = index.inside(img)
-            if moved:
-                inv_a, shift = 1 / a_k, -b_k / a_k
-                inner = [(c_j.image(inv_a, shift), v_j) for c_j, v_j in inner]
-            parts.extend(inner)
+            inv = (1 / a_k, -b_k / a_k) if moved else None
+            uncovered.setdefault((img.radius_exp, img.key), (img, []))[1].append(inv)
+        # an image equal to a C_j is covered: those around C_j strictly contain it
+        images = BallIndex(uncovered.values())
+        for c_j, v_j in f.parts:
+            for _, invs in images.around(c_j):
+                parts += [(c_j.image(*inv) if inv else c_j, v_j) for inv in invs]
         return StepFunction._build(self.ctx, f.kind, parts, f.tail)
 
     def preimage_clopen(self, s: ClopenSet) -> ClopenSet:

@@ -149,12 +149,12 @@ class Parser:
     def step(self, kind: str = REAL) -> StepFunction:
         open_tok = self._expect("{")
         parts = []
-        while self._peek()[1] == "B":
+        while self._peek()[1] != "|":
+            if parts:
+                self._expect(",")
             b = self.ball()
             self._expect(":")
             parts.append((b, self.rational()))
-            if self._peek()[1] == ",":
-                self._next()
         self._expect("|")
         tail_tok = self._next()
         if tail_tok[1] != "tail":

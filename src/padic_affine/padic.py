@@ -309,12 +309,12 @@ class BallIndex:
 
     A ball's key lists the nonzero digits of its center below -radius_exp,
     sorted by position, so the ball of radius R >= radius_exp around it has
-    the key prefix of digits below -R. Both lookups are therefore dict hits
-    on (radius_exp, key prefix), costing the key depth rather than a
-    comparison with every entry.
+    the key prefix of digits below -R. Both lookups walk up from the queried
+    ball through `_slots`, one dict hit on (radius_exp, key prefix) per
+    indexed radius rather than a comparison with every entry.
     """
 
-    __slots__ = ("_at", "_radii", "_below", "_tops")
+    __slots__ = ("_at", "_radii")
 
     def __init__(self, entries):
         self._at = at = {}
@@ -324,7 +324,6 @@ class BallIndex:
             at[(ball.radius_exp, ball.key)] = entry
             radii.add(ball.radius_exp)
         self._radii = sorted(radii)
-        self._below = None  # built on the first inside() query
 
     def covering(self, ball: Ball):
         """The smallest entry whose ball equals or contains `ball`, or None."""
@@ -340,33 +339,6 @@ class BallIndex:
         more than one only when the indexed balls nest."""
         at = self._at
         return [at[slot] for slot in _slots(ball, self._radii) if slot in at]
-
-    def inside(self, ball: Ball) -> tuple:
-        """The entries whose balls lie strictly inside `ball`."""
-        if not self._at:
-            return ()
-        if self._below is None:
-            self._index_below()
-        r = ball.radius_exp
-        found = self._below.get((r, ball.key), ())
-        if ball.key:
-            return found
-        # above its enclosing_zero_exp every ancestor of an entry is B(0; R)
-        tops, entries = self._tops
-        return found + entries[: bisect_left(tops, r)]
-
-    def _index_below(self):
-        below = {}
-        tops = []
-        for entry in self._at.values():
-            ball = entry[0]
-            top = ball.enclosing_zero_exp()
-            for slot in _slots(ball, range(ball.radius_exp + 1, top + 1)):
-                below.setdefault(slot, []).append(entry)
-            tops.append((top, entry))
-        tops.sort(key=lambda te: te[0])
-        self._below = {slot: tuple(found) for slot, found in below.items()}
-        self._tops = ([t for t, _ in tops], tuple(e for _, e in tops))
 
 
 def first_overlap(balls: list):

@@ -10,7 +10,7 @@ decoupling geometry) are audits: the exact defect is recorded as a finding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .affine import AffineElement
@@ -73,17 +73,9 @@ class CheckReport:
 
     def to_dict(self) -> dict:
         return {
-            "name": self.name,
-            "mode": self.mode,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "defect": self.defect,
-            "pass": self.passed,
-            "tolerance": self.tolerance,
-            "audit": self.audit,
-            "seed": self.seed,
-            "samples": self.samples,
-            "note": self.note,
+            "pass" if key == "passed" else key: value
+            for key, value in asdict(self).items()
+            if key != "fixed_verdict"
         }
 
     def rejudge(self, tolerance: float) -> None:

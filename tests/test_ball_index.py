@@ -10,11 +10,13 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_affine import randgen
 from padic_affine.affine import AffineElement, composition_defect
+from padic_affine.grammar import parse_affine, parse_step
 from padic_affine.measure import IntensityMeasure, pushforward
 from padic_affine.padic import (
     DISJOINT,
@@ -129,12 +131,11 @@ def scan_covering(entries, ball):
     return min(hits, key=lambda e: e[0].radius_exp, default=None)
 
 
-def scan_inside(entries, ball):
-    return [e for e in entries if ball.relation(e[0]) == SECOND_INSIDE_FIRST]
-
-
-def by_ball(entries):
-    return sorted(entries, key=lambda e: e[0].sort_key())
+def scan_around(entries, ball):
+    hits = [
+        e for e in entries if ball.relation(e[0]) in (EQUAL, FIRST_INSIDE_SECOND)
+    ]
+    return sorted(hits, key=lambda e: e[0].radius_exp)
 
 
 def ref_ball_subtract(a, b):
@@ -305,10 +306,15 @@ class TestBallIndex:
         rng = random.Random(seed)
         balls = disjoint_balls(ctx, rng, count, root_exp, splits=count)
         entries = [(b, i) for i, b in enumerate(balls)]
-        index = BallIndex(entries)
-        for q in query_balls(ctx, rng, balls):
-            assert index.covering(q) == scan_covering(entries, q)
-            assert by_ball(index.inside(q)) == by_ball(scan_inside(entries, q))
+        # the parents of every other ball as entries too, so that entries nest
+        parents = dict.fromkeys(ref_parent(b) for b in balls[::2])
+        nested = entries + [(b, -1) for b in parents]
+        queries = query_balls(ctx, rng, balls)
+        for listed in (entries, nested):
+            index = BallIndex(listed)
+            for q in queries:
+                assert index.covering(q) == scan_covering(listed, q)
+                assert index.around(q) == scan_around(listed, q)
 
     def test_query_larger_than_every_entry(self):
         ctx = PadicContext(3)
@@ -316,9 +322,11 @@ class TestBallIndex:
         far = Ball.from_center(ctx.rational(1, 3**9), -2)
         entries = [(b, None) for b in balls + [far]]
         index = BallIndex(entries)
-        assert by_ball(index.inside(Ball(ctx, 12, ()))) == by_ball(entries)
-        assert index.covering(Ball(ctx, 12, ())) is None
-        assert not index.inside(Ball.from_center(ctx.rational(1, 3**20), 12))
+        for q in (Ball(ctx, 12, ()), Ball.from_center(ctx.rational(1, 3**20), 12)):
+            assert index.covering(q) is None
+            assert index.around(q) == []
+        for b, _ in entries:
+            assert index.around(b.children()[0]) == [(b, None)]
 
     def test_negative_radius(self):
         ctx = PadicContext(2)
@@ -327,15 +335,14 @@ class TestBallIndex:
         for b in balls:
             assert index.covering(b) == (b, None)
             assert index.covering(b.children()[1]) == (b, None)
-            assert not index.inside(b)
-        assert len(index.inside(Ball(ctx, -5, ()))) == len(balls)
+            assert index.around(b) == [(b, None)]
+        assert index.around(Ball(ctx, -5, ())) == []
 
     def test_empty_index(self):
         ctx = PadicContext(5)
         index = BallIndex([])
         for q in (Ball(ctx, 3, ()), Ball(ctx, -2, ((-4, 1),))):
             assert index.covering(q) is None
-            assert not index.inside(q)
             assert not index.around(q)
 
 
@@ -374,6 +381,22 @@ class TestAgainstPairwise:
         # parts of f may also contain the hull of g or lie outside it
         f = wide_function(ctx, rng, rng.randint(1, n), root_exp=rng.randint(-1, 4))
         assert g.pieces() == ref_pieces(g, g.enclosing_exp())
+        assert g.act_function(f) == ref_act_function(g, f)
+
+    @pytest.mark.parametrize(
+        "g, f",
+        [
+            # no part of f covers the images B(0;-2) and B(0;-1), which nest
+            ("aff(a = {B(0;-1): 1/3 | tail 1}, b = {B(1;-1): -1 | tail 0})",
+             "{B(0;-3): 5, B(9;-3): 2 | tail 0}"),
+            # B(0;-1) moves onto B(1;-1), a fixed piece: two pieces, one image
+            ("aff(a = {| tail 1}, b = {B(0;-1): 1 | tail 0})",
+             "{B(1;-2): 7 | tail 0}"),
+        ],
+    )
+    def test_act_function_on_uncovered_images(self, g, f):
+        ctx = PadicContext(3)
+        g, f = parse_affine(g, ctx), parse_step(f, ctx)
         assert g.act_function(f) == ref_act_function(g, f)
 
     @given(**cases, kind=st.sampled_from(sorted(ELEMENTS)))

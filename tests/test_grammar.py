@@ -145,6 +145,18 @@ class TestErrors:
         assert err.value.message == "balls B(0;0) and B(1;-1) overlap"
         assert (err.value.line, err.value.column) == (1, 3)
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("{B(0;0): 1 B(1/3;-1): 2 | tail 0}", 12),  # no comma between parts
+            ("{B(0;0): 1, | tail 0}", 13),  # a comma before the bar
+        ],
+    )
+    def test_step_parts_take_one_comma_between(self, ctx, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_step(text, ctx)
+        assert (err.value.line, err.value.column) == (1, column)
+
     def test_step_literal_checks_overlap_once(self, ctx, monkeypatch):
         calls = []
 
