@@ -107,47 +107,43 @@ def _read_input(text: str) -> str:
     return text
 
 
-def _emit(reports, cfg):
-    """Print reports and return the exit code."""
+def _print(payload, lines, cfg):
+    """Print the payload as JSON with --json, else the text lines."""
     if cfg.as_json:
-        payload = [r.to_dict() for r in reports]
         print(json.dumps(payload, indent=2))
     else:
-        for r in reports:
-            flag = "AUDIT" if r.audit else ("pass" if r.passed else "FAIL")
-            detail = f"defect={r.defect:.6g} tolerance={r.tolerance:g}"
-            if r.samples:
-                detail += f" samples={r.samples} seed={r.seed}"
-            note = f"  [{r.note}]" if r.note else ""
-            print(f"{flag:5s} {r.name}: {detail}{note}")
-    hard_ok = all(r.passed or r.audit for r in reports)
-    return 0 if hard_ok else 1
+        for line in lines:
+            print(line)
 
 
-def _retolerance(reports, cfg):
-    """Re-judge every report against the caller's tolerance
-    (CheckReport.rejudge decides which verdicts it may move)."""
+def _report_line(r) -> str:
+    flag = "AUDIT" if r.audit else ("pass" if r.passed else "FAIL")
+    detail = f"defect={r.defect:.6g} tolerance={r.tolerance:g}"
+    if r.samples:
+        detail += f" samples={r.samples} seed={r.seed}"
+    note = f"  [{r.note}]" if r.note else ""
+    return f"{flag:5s} {r.name}: {detail}{note}"
+
+
+def _emit(reports, cfg):
+    """Re-judge each report against --tolerance (CheckReport.rejudge
+    decides which verdicts may move), print them and return the exit code."""
     for r in reports:
         r.rejudge(cfg.tolerance)
-    return reports
+    _print([r.to_dict() for r in reports], map(_report_line, reports), cfg)
+    return 0 if all(r.passed or r.audit for r in reports) else 1
 
 
 def cmd_pushforward(args, cfg):
     g = parse_affine(_read_input(args.g), cfg.ctx)
     mu = pushforward(IntensityMeasure.haar(cfg.ctx), g)
-    density = format_step(mu.density)
-    deviation = format_rational(mu.l1_deviation())
-    defect = format_rational(roundtrip_defect(g))
-    if cfg.as_json:
-        print(json.dumps({
-            "density": density,
-            "l1_deviation": deviation,
-            "roundtrip_defect": defect,
-        }, indent=2))
-    else:
-        print(f"density = {density}")
-        print(f"l1-deviation = {deviation}")
-        print(f"roundtrip-defect = {defect}")
+    fields = {
+        "density": format_step(mu.density),
+        "l1_deviation": format_rational(mu.l1_deviation()),
+        "roundtrip_defect": format_rational(roundtrip_defect(g)),
+    }
+    lines = (f"{key.replace('_', '-')} = {text}" for key, text in fields.items())
+    _print(fields, lines, cfg)
     return 0
 
 
@@ -157,7 +153,7 @@ def _pair_command(args, cfg, exact_fn, mc_fn):
     reports = [exact_fn(g, f)]
     if args.mc:
         reports.append(mc_fn(g, f, cfg.samples, cfg.seed))
-    return _emit(_retolerance(reports, cfg), cfg)
+    return _emit(reports, cfg)
 
 
 def cmd_decouple(args, cfg):
@@ -165,15 +161,10 @@ def cmd_decouple(args, cfg):
     l2 = parse_clopen(_read_input(args.l2), cfg.ctx)
     g = find_decoupler(l1, l2)
     post = decoupler_postconditions(g, l1, l2)
-    if cfg.as_json:
-        print(json.dumps({
-            "element": format_affine(g),
-            "postconditions": post,
-        }, indent=2))
-    else:
-        print(f"element = {format_affine(g)}")
-        for name, ok in post.items():
-            print(f"{'pass' if ok else 'FAIL'}  {name}")
+    element = format_affine(g)
+    lines = [f"element = {element}"]
+    lines += [f"{'pass' if ok else 'FAIL'}  {name}" for name, ok in post.items()]
+    _print({"element": element, "postconditions": post}, lines, cfg)
     return 0 if all(post.values()) else 1
 
 
@@ -191,14 +182,8 @@ def cmd_sample(args, cfg):
     for _ in range(args.count):
         cfg_pts = sample_config(haar, window, depth, rng)
         configs.append([format_rational(x.frac) for x in cfg_pts.points])
-    if cfg.as_json:
-        print(json.dumps({
-            "window": format_clopen(window),
-            "configurations": configs,
-        }, indent=2))
-    else:
-        for i, pts in enumerate(configs):
-            print(f"config {i}: {{{', '.join(pts)}}}")
+    lines = (f"config {i}: {{{', '.join(pts)}}}" for i, pts in enumerate(configs))
+    _print({"window": format_clopen(window), "configurations": configs}, lines, cfg)
     return 0
 
 
@@ -211,7 +196,7 @@ def cmd_audit(args, cfg):
 
 def cmd_verify_all(args, cfg):
     reports = suite.verify_all(cfg.p, cfg.seed, cfg.samples)
-    return _emit(_retolerance(reports, cfg), cfg)
+    return _emit(reports, cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -130,14 +130,17 @@ class Parser:
         self._expect(")")
         return Ball(self.ctx, radius, ball_key(self.ctx.p, n, d, radius))
 
+    def _list(self, item, sep: str) -> tuple:
+        """item (sep item)*"""
+        items = [item()]
+        while self._peek()[1] == sep:
+            self.pos += 1
+            items.append(item())
+        return tuple(items)
+
     def clopen(self) -> ClopenSet:
         self._expect("{")
-        balls = []
-        if self._peek()[1] != "}":
-            balls.append(self.ball())
-            while self._peek()[1] == ",":
-                self._next()
-                balls.append(self.ball())
+        balls = () if self._peek()[1] == "}" else self._list(self.ball, ",")
         self._expect("}")
         # ClopenSet.of accepts nested balls; a literal may not hold any
         clash = first_overlap(balls)
@@ -165,52 +168,41 @@ class Parser:
 
     def affine(self) -> AffineElement:
         head = self._expect("aff")
-        self._expect("(")
-        name = self._next()
-        if name[1] != "a":
-            raise self._error("expected 'a ='", name)
-        self._expect("=")
-        a = self.step(PADIC)
-        self._expect(",")
-        name = self._next()
-        if name[1] != "b":
-            raise self._error("expected 'b ='", name)
-        self._expect("=")
-        b = self.step(PADIC)
+        coefficients = []
+        for sep, name in (("(", "a"), (",", "b")):
+            self._expect(sep)
+            tok = self._next()
+            if tok[1] != name:
+                raise self._error(f"expected '{name} ='", tok)
+            self._expect("=")
+            coefficients.append(self.step(PADIC))
         self._expect(")")
-        return self._made(head, AffineElement, a, b)
+        return self._made(head, AffineElement, *coefficients)
 
     def cylinder(self) -> CylinderFunction:
         tok = self._next()
         if tok[1] == "exp":
-            self._expect("{")
-            self._expect("<")
-            f = self.step(REAL)
-            self._expect(">")
-            self._expect("}")
-            return self._made(tok, Exponential, f)
-        if tok[1] == "poly":
-            self._expect("{")
-            factors = [self._poly_factor()]
-            while self._peek()[1] == "*":
-                self._next()
-                factors.append(self._poly_factor())
-            self._expect("}")
-            return self._made(tok, Polynomial, tuple(factors))
-        if tok[1] == "event":
-            self._expect("{")
-            conditions = [self._condition()]
-            while self._peek()[1] == "&":
-                self._next()
-                conditions.append(self._condition())
-            self._expect("}")
-            return self._made(tok, CountEvent, tuple(conditions))
-        raise self._error("expected exp, poly or event", tok)
+            make, body = Exponential, self._bracketed
+        elif tok[1] == "poly":
+            make, body = Polynomial, lambda: self._list(self._poly_factor, "*")
+        elif tok[1] == "event":
+            make, body = CountEvent, lambda: self._list(self._condition, "&")
+        else:
+            raise self._error("expected exp, poly or event", tok)
+        self._expect("{")
+        arg = body()
+        self._expect("}")
+        return self._made(tok, make, arg)
 
-    def _poly_factor(self):
+    def _bracketed(self) -> StepFunction:
+        """<f> for a real step function f."""
         self._expect("<")
         f = self.step(REAL)
         self._expect(">")
+        return f
+
+    def _poly_factor(self):
+        f = self._bracketed()
         self._expect("^")
         power = self.integer()
         if power < 1:
@@ -244,28 +236,26 @@ class Parser:
         if tok[1] == "B":
             return self.ball()
         if tok[1] == "{":
-            # distinguish clopen from step function by lookahead
-            i = self.pos + 1
-            if self.tokens[i][1] == "}":
-                return self.clopen()
-            if self.tokens[i][1] == "|":
-                return self.step()
-            depth = 0
-            while self.tokens[i][0] != "eof":
-                t = self.tokens[i][1]
-                if t == "(":
-                    depth += 1
-                elif t == ")":
-                    depth -= 1
-                elif depth == 0 and t == ":":
-                    return self.step()
-                elif depth == 0 and t in (",", "}"):
-                    return self.clopen()
-                i += 1
-            return self.clopen()
+            return self.step() if self._opens_step() else self.clopen()
         if tok[0] == "int":
             return Padic(self.ctx, self.rational())
         raise self._error(f"cannot parse a value starting at {tok[1]!r}")
+
+    def _opens_step(self) -> bool:
+        """Whether the '{' at the cursor opens a step function: '|' or a
+        first ball followed by ':' comes next. Anything else is read as a
+        clopen set, whose reader fails on a bad first ball as step's would."""
+        start = self.pos
+        self.pos += 1
+        try:
+            if self._peek()[1] == "|":
+                return True
+            self.ball()
+            return self._peek()[1] == ":"
+        except ParseError:
+            return False
+        finally:
+            self.pos = start
 
 
 # -- entry points -----------------------------------------------------------

@@ -65,10 +65,6 @@ class IntensityMeasure:
         support = self.density.deviation_support()
         return self.density.integrate_transform(support, "abs_dev")
 
-    def l1_distance(self, other: "IntensityMeasure") -> Fraction:
-        diff = self.density - other.density  # tail 0: both tails are 1
-        return diff.l1_norm()
-
 
 def pushforward(mu: IntensityMeasure, g: AffineElement) -> IntensityMeasure:
     """Exact step density of g*(rho·m), read on the cells of one union
@@ -92,8 +88,7 @@ def pushforward(mu: IntensityMeasure, g: AffineElement) -> IntensityMeasure:
 
 def roundtrip_defect(g: AffineElement) -> Fraction:
     """Exact L1 distance between Haar and the two-step pushforward through
-    g^{-1} then g; zero certifies the isometry step for this element."""
-    haar = IntensityMeasure.haar(g.ctx)
-    back = pushforward(haar, g.inverse())
-    forth = pushforward(back, g)
-    return forth.l1_distance(haar)
+    g^{-1} then g, the integral of |rho - 1| dm of its density; zero
+    certifies the isometry step for this element."""
+    back = pushforward(IntensityMeasure.haar(g.ctx), g.inverse())
+    return pushforward(back, g).l1_deviation()

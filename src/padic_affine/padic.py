@@ -361,36 +361,57 @@ def first_overlap(balls: list):
 def _descend(ball, values, cuts, out):
     """Append the cells of `ball` to `out`, depth first, children in digit
     order: `cuts` are the entries strictly inside it, and a cell equal to a
-    cut's ball is the last such entry's Ball, with that entry's value set."""
-    k = ball.radius_exp
-    pos = -k
-    n = len(ball.key)
-    groups = {}
-    for cut in cuts:
-        # the digit at position -k picks the child holding the cut; a key
-        # inside the ball starts with the ball's key, so it is entry n
-        key = cut[0].key
-        digit = key[n][1] if len(key) > n and key[n][0] == pos else 0
-        groups.setdefault(digit, []).append(cut)
-    for digit in range(ball.ctx.p):
-        child = None
-        vals = values
-        deeper = []
-        for cut in groups.get(digit, ()):
-            if cut[0].radius_exp == k - 1:
-                child = cut[0]
-                if vals is values:
-                    vals = list(values)
-                vals[cut[1]] = cut[2]
+    cut's ball is the last such entry's Ball, with that entry's value set.
+
+    A loop, so that a nest of any depth fits. A stack holds the children
+    still to visit, pushed in reverse digit order: a finished cell as its
+    (ball, values) pair, a ball still to split as (ball, values, cuts)."""
+    ctx = ball.ctx
+    digits = range(ctx.p - 1, -1, -1)
+    todo = [(ball, values, cuts)]
+    push, pop, emit = todo.append, todo.pop, out.append
+    while todo:
+        item = pop()
+        if len(item) == 2:
+            emit(item)
+            continue
+        ball, values, cuts = item
+        k = ball.radius_exp
+        pos = -k
+        above = ball.key
+        n = len(above)
+        groups = {}
+        for cut in cuts:
+            # the digit at position -k picks the child holding the cut; a key
+            # inside the ball starts with the ball's key, so it is entry n
+            key = cut[0].key
+            digit = key[n][1] if len(key) > n and key[n][0] == pos else 0
+            group = groups.get(digit)
+            if group is None:
+                groups[digit] = [cut]
             else:
-                deeper.append(cut)
-        if child is None:
-            key = ball.key if digit == 0 else ball.key + ((pos, digit),)
-            child = Ball(ball.ctx, k - 1, key)
-        if deeper:
-            _descend(child, tuple(vals), deeper, out)
-        else:
-            out.append((child, tuple(vals)))
+                group.append(cut)
+        for digit in digits:
+            group = groups.get(digit)
+            if group is None:  # most children: a cell with the parent's values
+                key = above + ((pos, digit),) if digit else above
+                push((Ball(ctx, k - 1, key), values))
+                continue
+            child = None
+            vals = values
+            deeper = []
+            for cut in group:
+                if cut[0].radius_exp == k - 1:
+                    child = cut[0]
+                    if vals is values:
+                        vals = list(values)
+                    vals[cut[1]] = cut[2]
+                else:
+                    deeper.append(cut)
+            if child is None:
+                key = above + ((pos, digit),) if digit else above
+                child = Ball(ctx, k - 1, key)
+            push((child, tuple(vals), deeper) if deeper else (child, tuple(vals)))
 
 
 def split_union(entries, values: tuple) -> list:

@@ -440,12 +440,22 @@ def _poisson_pmf(lam: float, k: int) -> float:
         return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
 
+def left_sum(xs):
+    """The sum of xs added left to right. From CPython 3.12 on, sum()
+    compensates float rounding; this keeps every printed digit the same on
+    each version."""
+    total = 0
+    for x in xs:
+        total += x
+    return total
+
+
 def _predicate_prob(op: str, k: int, lam: float) -> float:
     if op == EQ:
         return _poisson_pmf(lam, k)
     if op == LE:
-        return sum(_poisson_pmf(lam, j) for j in range(k + 1))
-    return 1.0 - sum(_poisson_pmf(lam, j) for j in range(k))
+        return left_sum(_poisson_pmf(lam, j) for j in range(k + 1))
+    return 1.0 - left_sum(_poisson_pmf(lam, j) for j in range(k))
 
 
 def exp_checked(x: float) -> float:
@@ -610,7 +620,8 @@ def _counts_evaluator(f: CylinderFunction, atoms: list, offset: int = 0):
     """Closure computing F(gamma) from the nonzero counts, as mc_run passes
     them: (atom index, count) pairs in atom order. values[offset...] hold
     the per-cell values of f.fns() in mc_atoms order, so each pairing is the
-    sum of count times value over the atoms hit."""
+    sum of count times value over the atoms hit, added left to right as
+    left_sum does."""
     rows = [
         [float(vals[j]) for _, _, vals in atoms]
         for j in range(offset, offset + len(f.fns()))
@@ -618,9 +629,12 @@ def _counts_evaluator(f: CylinderFunction, atoms: list, offset: int = 0):
     psi = f.psi
 
     def ev(pairs):
-        xs = []  # a loop, not a comprehension: one frame less per draw
+        xs = []  # loops, not comprehensions: no frame per pairing
         for row in rows:
-            xs.append(sum(c * row[i] for i, c in pairs))
+            x = 0
+            for i, c in pairs:
+                x += c * row[i]
+            xs.append(x)
         return psi(xs)
 
     return ev

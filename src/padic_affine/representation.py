@@ -10,7 +10,7 @@ decoupling geometry) are audits: the exact defect is recorded as a finding.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .affine import AffineElement
@@ -72,10 +72,11 @@ class CheckReport:
     fixed_verdict: bool = False
 
     def to_dict(self) -> dict:
+        # scalar fields read in place: asdict would deep-copy each
         return {
-            "pass" if key == "passed" else key: value
-            for key, value in asdict(self).items()
-            if key != "fixed_verdict"
+            "pass" if f.name == "passed" else f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "fixed_verdict"
         }
 
     def rejudge(self, tolerance: float) -> None:

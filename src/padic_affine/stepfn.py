@@ -15,7 +15,6 @@ from .errors import (
     ContextMismatch,
     KindMismatch,
     OverlappingParts,
-    UnboundedIntegral,
 )
 from .padic import (
     BallIndex,
@@ -212,14 +211,6 @@ class StepFunction:
         if transform == "one_minus":
             return sum(((1 - v) * m for v, m in pieces), Fraction(0))
         raise ValueError(f"unknown transform {transform!r}")
-
-    def l1_norm(self) -> Fraction:
-        """Exact integral of |F| over Q_p; tail must be 0."""
-        if self.kind != REAL:
-            raise KindMismatch("integrate requires a real-valued function")
-        if self.tail != 0:
-            raise UnboundedIntegral("L1 norm needs tail 0")
-        return sum((abs(v) * b.measure for b, v in self.parts), Fraction(0))
 
 
 def refine_window(window: ClopenSet, fns: list) -> list:

@@ -17,6 +17,7 @@ from .padic import Ball, ClopenSet, PadicContext
 from .poisson import (
     CountEvent,
     Exponential,
+    left_sum,
     required_depth,
     sample_keys,
 )
@@ -287,8 +288,8 @@ def sampler_reports(ctx, seed, samples) -> list:
                 (a - mi) * (b - mj)
                 for a, b in zip(counts[i], counts[j])
             ]
-            cov = sum(prods) / n
-            var = sum((w - cov) ** 2 for w in prods) / n
+            cov = left_sum(prods) / n
+            var = left_sum((w - cov) ** 2 for w in prods) / n
             se = math.sqrt(var / n) if var > 0 else 1.0 / n
             worst_cov = max(worst_cov, abs(cov) / se)
     reports.append(mc_report("sampler-independence", worst_cov, 1.0, 0.0, seed, n))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from padic_affine import cli, representation
-from padic_affine.cli import RunConfig, _retolerance, main
+from padic_affine.cli import RunConfig, main
 from padic_affine.padic import Ball, ClopenSet, PadicContext
 from padic_affine.poisson import CountEvent
 
@@ -101,17 +101,23 @@ class TestToleranceScope:
             as_json=False,
         )
 
-    def test_count_reports_keep_their_verdict(self):
+    def emit(self, capsys, report, tolerance):
+        """The report after the command line printed it at `tolerance`."""
+        cli._emit([report], self.config(tolerance))
+        capsys.readouterr()
+        return report
+
+    def test_count_reports_keep_their_verdict(self, capsys):
         report = representation.count_report("group-axioms", 1, 10)
-        [out] = _retolerance([report], self.config(2.0))
+        out = self.emit(capsys, report, 2.0)
         assert not out.passed
 
-    def test_z_scores_keep_their_verdict(self):
+    def test_z_scores_keep_their_verdict(self, capsys):
         report = representation.mc_report("laplace-duality-mc", 1.0, 0.1, 2.0, 0, 1000)
-        [out] = _retolerance([report], self.config(100.0))
+        out = self.emit(capsys, report, 100.0)
         assert (out.passed, out.tolerance) == (False, representation.MC_SIGMA)
 
-    def test_ergodic_bound_failure_stays(self, monkeypatch):
+    def test_ergodic_bound_failure_stays(self, capsys, monkeypatch):
         ctx = PadicContext(3)
         event = CountEvent(((ClopenSet.of(ctx, [Ball(ctx, 0, ())]), ">=", 1),))
         # a joint probability below half the product of the marginals
@@ -121,7 +127,7 @@ class TestToleranceScope:
         )
         report = representation.check_ergodic_inequality(event, event)
         assert not report.passed
-        [out] = _retolerance([report], self.config(2.0))
+        out = self.emit(capsys, report, 2.0)
         assert not out.passed
         assert out.note == "below half the product bound"
 

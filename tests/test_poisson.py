@@ -1,6 +1,8 @@
 """Poisson configurations, cylinder descriptors and their expectations."""
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -229,10 +231,15 @@ def ref_predicate_prob(op, k, lam):
     """P(N op k) for N ~ Poisson(lam), summing the <= CDF for >= too."""
     if op == EQ:
         return _poisson_pmf(lam, k)
-    cdf = sum(_poisson_pmf(lam, j) for j in range(k + 1))
+    cdf = ref_left_sum(_poisson_pmf(lam, j) for j in range(k + 1))
     if op == LE:
         return cdf
-    return 1.0 - sum(_poisson_pmf(lam, j) for j in range(k))
+    return 1.0 - ref_left_sum(_poisson_pmf(lam, j) for j in range(k))
+
+
+def ref_left_sum(xs):
+    """Floats added left to right, as sum() did before CPython 3.12."""
+    return functools.reduce(operator.add, xs, 0)
 
 
 PREDICATE_KS = [0, 1, 5, 170, 171, 2000]
