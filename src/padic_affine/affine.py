@@ -10,14 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContextMismatch, KindMismatch, PadicAffineError
-from .padic import (
-    Ball,
-    BallIndex,
-    ClopenSet,
-    Padic,
-    PadicContext,
-)
-from .stepfn import PADIC, StepFunction, refine_window, union_cells
+from .padic import BallIndex, ClopenSet, Padic, PadicContext
+from .stepfn import PADIC, StepFunction, union_cells
 
 
 @dataclass(frozen=True)
@@ -97,17 +91,15 @@ class AffineElement:
     def enclosing_exp(self) -> int:
         return max(self.a.enclosing_exp(), self.b.enclosing_exp())
 
-    def pieces(self, radius_exp=None) -> list:
-        """Partition of B(0; R) on which a and b are constant, as (ball, a_k,
-        b_k) triples sorted by ball; R defaults to the smallest radius
-        enclosing both."""
-        r = self.enclosing_exp() if radius_exp is None else radius_exp
-        hull = ClopenSet(self.ctx, (Ball(self.ctx, r, ()),))
-        cells = refine_window(hull, [self.a, self.b])
-        return sorted(
-            ((cell, a_k, b_k) for cell, (a_k, b_k) in cells),
-            key=lambda piece: piece[0].sort_key(),
-        )
+    def pieces(self, f: StepFunction) -> list:
+        """One union walk over the parts of a, of b and of f, as (cell,
+        (a_k, b_k, v)) pairs: a cell where (a_k, b_k) = (1, 0) lies off g's
+        parts and v is f's value there. A part of f inside a part of a or b
+        is left out, so f splits no cell on which g is one map."""
+        inside = BallIndex([*self.a.parts, *self.b.parts])
+        kept = [part for part in f.parts if inside.covering(part[0]) is None]
+        rest = StepFunction(f.ctx, f.kind, kept, f.tail)
+        return union_cells((self.a, self.b, rest))
 
     # -- group structure ----------------------------------------------------
 
@@ -133,30 +125,28 @@ class AffineElement:
         """The one-particle motion (gf)(x) = f(g(x) x), exact and piecewise."""
         if f.ctx.p != self.ctx.p:
             raise ContextMismatch("function from a different context")
-        # g fixes every point outside its hull, so over a ball that also
-        # holds f's parts the cells outside the hull keep f's values, and
-        # so does every piece where (a_k, b_k) = (1, 0)
-        r = max(self.enclosing_exp(), f.enclosing_exp())
         index = BallIndex(f.parts)
         parts = []
         uncovered = {}  # (radius, key) slot -> (img, inverse maps onto it)
-        for cell, a_k, b_k in self.pieces(r):
+        for cell, (a_k, b_k, v) in self.pieces(f):
+            if a_k == 1 and b_k == 0:  # off g's parts: g fixes the cell
+                parts.append((cell, v))
+                continue
             # x -> (x + b_k)/a_k maps cell onto img and keeps every ball
             # relation, so {x in cell : (x + b_k)/a_k in C_j} is all of cell
             # when C_j contains img, else a_k C_j - b_k for C_j inside img
-            moved = a_k != 1 or b_k != 0
-            img = cell.image(a_k, b_k) if moved else cell
+            img = cell.image(a_k, b_k)
             hit = index.covering(img)
             if hit is not None:
                 parts.append((cell, hit[1]))
                 continue
-            inv = (1 / a_k, -b_k / a_k) if moved else None
+            inv = (1 / a_k, -b_k / a_k)
             uncovered.setdefault((img.radius_exp, img.key), (img, []))[1].append(inv)
         # an image equal to a C_j is covered: those around C_j strictly contain it
         images = BallIndex(uncovered.values())
         for c_j, v_j in f.parts:
             for _, invs in images.around(c_j):
-                parts += [(c_j.image(*inv) if inv else c_j, v_j) for inv in invs]
+                parts += [(c_j.image(*inv), v_j) for inv in invs]
         return StepFunction._build(self.ctx, f.kind, parts, f.tail)
 
     def preimage_clopen(self, s: ClopenSet) -> ClopenSet:

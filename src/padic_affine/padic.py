@@ -305,7 +305,8 @@ def _slots(ball: Ball, radii: list):
 
 
 class BallIndex:
-    """Digit-key index over (ball, payload) entries with distinct balls.
+    """Digit-key index over (ball, payload) entries; of entries with one
+    ball, the last is kept.
 
     A ball's key lists the nonzero digits of its center below -radius_exp,
     sorted by position, so the ball of radius R >= radius_exp around it has

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_affine import randgen
+from padic_affine import padic, randgen
 from padic_affine.affine import AffineElement, composition_defect
 from padic_affine.grammar import parse_affine, parse_step
 from padic_affine.measure import IntensityMeasure, pushforward
@@ -31,7 +31,7 @@ from padic_affine.padic import (
 )
 from padic_affine.poisson import refine_window
 from padic_affine.representation import check_laplace
-from padic_affine.stepfn import REAL, StepFunction
+from padic_affine.stepfn import REAL, StepFunction, union_cells
 
 PRIMES = [2, 3, 5]
 
@@ -207,6 +207,11 @@ def ref_padded(f, r):
     return list(f.parts) + [(b, f.tail) for b in pad]
 
 
+def by_ball(cells):
+    """(ball, ...) pairs sorted by ball."""
+    return sorted(cells, key=lambda c: c[0].sort_key())
+
+
 def ref_pieces(g, r):
     cells = []
     for b1, v1 in ref_padded(g.a, r):
@@ -380,7 +385,19 @@ class TestAgainstPairwise:
         g = ELEMENTS[kind](ctx, rng, n)
         # parts of f may also contain the hull of g or lie outside it
         f = wide_function(ctx, rng, rng.randint(1, n), root_exp=rng.randint(-1, 4))
-        assert g.pieces() == ref_pieces(g, g.enclosing_exp())
+        walk = g.pieces(f)
+        moved = [(c, (a_k, b_k)) for c, (a_k, b_k, _) in walk if (a_k, b_k) != (1, 0)]
+        fixed = [(c, v) for c, (a_k, b_k, v) in walk if (a_k, b_k) == (1, 0)]
+        # f splits no cell on which g is one map ...
+        assert by_ball(moved) == by_ball(union_cells((g.a, g.b))) == [
+            (cell, (a_k, b_k)) for cell, a_k, b_k in ref_pieces(g, g.enclosing_exp())
+            if (a_k, b_k) != (1, 0)
+        ]
+        # ... and off g's parts the walk holds f's parts, with f's values
+        holes = [b for b, _ in (*g.a.parts, *g.b.parts)]
+        assert by_ball(fixed) == by_ball(
+            (b, v) for c_j, v in f.parts for b in ref_subtract(c_j, holes)
+        )
         assert g.act_function(f) == ref_act_function(g, f)
 
     @pytest.mark.parametrize(
@@ -392,6 +409,16 @@ class TestAgainstPairwise:
             # B(0;-1) moves onto B(1;-1), a fixed piece: two pieces, one image
             ("aff(a = {| tail 1}, b = {B(0;-1): 1 | tail 0})",
              "{B(1;-2): 7 | tail 0}"),
+            # B(0;-3) lies inside a part of g and stays out of the walk, while
+            # B(1;-1) holds B(1;-2): {B(0;-4): 5, B(4;-2): 2, B(7;-2): 2 | tail 0}
+            ("aff(a = {B(0;-2): 3 | tail 1}, b = {B(1;-2): 1 | tail 0})",
+             "{B(0;-3): 5, B(1;-1): 2 | tail 0}"),
+            # the identity: every cell of the walk is a part of f
+            ("aff(a = {| tail 1}, b = {| tail 0})",
+             "{B(0;-3): 5, B(1;-1): 2 | tail 1}"),
+            # a constant f: the walk holds g's parts alone
+            ("aff(a = {B(0;-1): 1/3 | tail 1}, b = {B(1;-1): -1 | tail 0})",
+             "{| tail 4}"),
         ],
     )
     def test_act_function_on_uncovered_images(self, g, f):
@@ -450,7 +477,29 @@ class TestAgainstPairwise:
         assert cells == ref_refine_window(window, [rho])
 
 
-# -- work-count regression guard --------------------------------------------------
+# -- work-count regression guards -------------------------------------------------
+
+
+def test_act_function_walks_only_g_parts(monkeypatch):
+    """g moves B(0;-6) alone and f's one part lies off it: the walk that
+    act_function consumes has one cell per part, where a walk over the hull
+    B(0;0) cuts it down to B(0;-6) in 13 cells."""
+    ctx = PadicContext(3)
+    g = parse_affine("aff(a = {B(0;-6): 3 | tail 1}, b = {| tail 0})", ctx)
+    f = parse_step("{B(5;-1): 2 | tail 0}", ctx)
+    expected = ref_act_function(g, f)
+    walked = []
+    split_union = padic.split_union
+
+    def counted(*args):
+        cells = split_union(*args)
+        walked.append(len(cells))
+        return cells
+
+    monkeypatch.setattr(padic, "split_union", counted)
+    assert g.act_function(f) == expected
+    assert walked == [2]
+
 
 # Calls made by check_laplace + composition_defect on the input below, as
 # measured with the pairwise set algebra that preceded the index.

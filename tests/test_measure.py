@@ -35,7 +35,7 @@ def maps_pieces_onto_themselves(g):
     return all(
         fraction_valuation(a_k, p) == 0
         and (b_k == 0 or fraction_valuation(b_k, p) >= -ball.radius_exp)
-        for ball, a_k, b_k in g.pieces()
+        for ball, (a_k, b_k) in union_cells((g.a, g.b))
     )
 
 
