@@ -38,7 +38,7 @@ from .grammar import (
 )
 from .measure import IntensityMeasure, pushforward, roundtrip_defect
 from .padic import PadicContext
-from .poisson import required_depth, sample_config
+from .poisson import MIN_SAMPLES, required_depth, sample_config
 from .representation import (
     check_isometry,
     check_isometry_mc,
@@ -58,7 +58,7 @@ _OPTIONS = (
     ("p", int, 3, "the prime (default 3)"),
     ("seed", int, 0, "RNG seed (default 0)"),
     ("samples", int, 10000,
-     "Monte Carlo sample count (default 10000, minimum 1000)"),
+     f"Monte Carlo sample count (default 10000, minimum {MIN_SAMPLES})"),
     ("depth_margin", int, 1, "extra digit depth for samplers (default 1)"),
     ("tolerance", float, 1e-9,
      "relative tolerance for exact-mode checks (default 1e-9)"),
@@ -75,9 +75,10 @@ class RunConfig:
     as_json: bool
 
     def __post_init__(self):
-        if self.samples < 1000:
+        if self.samples < MIN_SAMPLES:
             raise PadicAffineError(
-                f"Monte Carlo sample count must be at least 1000, got {self.samples}"
+                f"Monte Carlo sample count must be at least {MIN_SAMPLES}, "
+                f"got {self.samples}"
             )
         if self.depth_margin < 0:
             raise PadicAffineError("depth margin must be nonnegative")

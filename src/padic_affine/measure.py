@@ -3,10 +3,10 @@
 The pushforward of an intensity rho·m under a group element g has again a
 step density. Off the parts of a, b and rho, g fixes every point and rho is
 1, so the density stays 1 there. Each cell B_k of the union of those parts,
-where they take the values a_k, b_k and r_k, gives up its unit density and
-contributes |a_k|_p · r_k on its image ball C_k = (B_k + b_k)/a_k, and
-overlapping contributions sum. With rho = 1 this is the exact density rho_g
-of g* m.
+where they take the values a_k, b_k and r_k, keeps r_k if g fixes it; else
+it keeps 0 and contributes |a_k|_p · r_k on its image ball
+C_k = (B_k + b_k)/a_k, and contributions sum. With rho = 1 this is the
+exact density rho_g of g* m.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .affine import AffineElement
 from .errors import PadicAffineError
-from .padic import ClopenSet, PadicContext, fraction_abs_p
+from .padic import BallIndex, ClopenSet, PadicContext, fraction_abs_p, split_union
 from .stepfn import REAL, StepFunction, union_cells
 
 
@@ -68,22 +68,27 @@ class IntensityMeasure:
 
 def pushforward(mu: IntensityMeasure, g: AffineElement) -> IntensityMeasure:
     """Exact step density of g*(rho·m), read on the cells of one union
-    walk over the parts of a, b and rho; overlaps are summed on a common
-    refinement, so total mass over the moved region is conserved."""
+    walk over the parts of a, b and rho; overlapping images are summed, so
+    total mass over the moved region is conserved."""
     ctx = mu.ctx
-    # the contributions of all cells are summed in one pass. A cell that g
-    # fixes changes its density by v - 1 in place; y in cell.image(a, b)
-    # pulls back to a·y - b in the cell, where a, b and rho are constant
-    entries = []
+    # slot 0: v on each cell that g fixes, 0 on each it moves. y in the
+    # image pulls back to a·y - b in the cell, so the image gains |a|_p·v
+    entries, weights = [], {}
     for cell, (a, b, v) in union_cells((g.a, g.b, mu.density)):
         if a == 1 and b == 0:
-            entries.append((cell, v - 1))
+            entries.append((cell, 0, v))
         else:
-            entries.append((cell, Fraction(-1)))
-            entries.append((cell.image(a, b), fraction_abs_p(a, ctx.p) * v))
-    total = StepFunction.overlay(ctx, REAL, entries, Fraction(1))
-    assert all(v >= 0 for _, v in total.parts)
-    return IntensityMeasure(total)
+            entries.append((cell, 0, Fraction(0)))
+            image = cell.image(a, b)
+            weights[image] = weights.get(image, 0) + fraction_abs_p(a, ctx.p) * v
+    # slot 1: on each image ball, the weights of every image around it
+    index = BallIndex(weights.items())
+    for image in weights:
+        total = sum((w for _, w in index.around(image)), Fraction(0))
+        entries.append((image, 1, total))
+    cells = split_union(entries, (Fraction(1), Fraction(0)))
+    parts = [(cell, fixed + moved) for cell, (fixed, moved) in cells]
+    return IntensityMeasure(StepFunction._build(ctx, REAL, parts, Fraction(1)))
 
 
 def roundtrip_defect(g: AffineElement) -> Fraction:

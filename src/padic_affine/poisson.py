@@ -212,6 +212,9 @@ def required_depth(objects, ball: Ball) -> int:
 
 # -- sampling ---------------------------------------------------------------
 
+MIN_SAMPLES = 1000
+"""Fewest draws a Monte Carlo check accepts; one draw has no standard error."""
+
 MAX_POINTS = 10**6
 """Cap on the expected point count of one Poisson draw. A window or measure
 above it is refused with a PadicAffineError instead of being sampled; the
@@ -665,6 +668,6 @@ def product_evaluator(mu: IntensityMeasure, fs: list):
 def expect_mc(f: CylinderFunction, mu: IntensityMeasure, n: int, seed: int):
     """Monte Carlo mean and standard error over n independent configurations
     on an auto-derived window; deterministic for a fixed seed."""
-    if n < 1000:
-        raise PadicAffineError("Monte Carlo runs need n >= 1000")
+    if n < MIN_SAMPLES:
+        raise PadicAffineError(f"Monte Carlo runs need n >= {MIN_SAMPLES}")
     return mc_run(*product_evaluator(mu, [f]), n, seed)

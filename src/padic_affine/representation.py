@@ -21,6 +21,7 @@ from .errors import (
 from .measure import IntensityMeasure, pushforward
 from .padic import Ball, ClopenSet
 from .poisson import (
+    MIN_SAMPLES,
     Configuration,
     CountEvent,
     CylinderFunction,
@@ -153,6 +154,10 @@ def count_report(name, failures, trials, audit=False, note=None) -> CheckReport:
 
 
 def mc_report(name, mean, se, target, seed, samples, audit=False):
+    if samples < MIN_SAMPLES:
+        raise PadicAffineError(
+            f"{name} needs at least {MIN_SAMPLES} samples, got {samples}"
+        )
     if se == 0.0:
         z = 0.0 if mean == target else float("inf")
     else:

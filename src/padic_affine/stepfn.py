@@ -17,12 +17,10 @@ from .errors import (
     OverlappingParts,
 )
 from .padic import (
-    BallIndex,
     ClopenSet,
     Padic,
     first_overlap,
     merge_siblings,
-    split_union,
     union_cells,
 )
 
@@ -72,20 +70,6 @@ class StepFunction:
         # internal path: parts already pairwise disjoint
         live = [(b, v) for b, v in parts if v != tail]
         return cls(ctx, kind, merge_siblings(ctx, live), tail)
-
-    @classmethod
-    def overlay(cls, ctx, kind, entries, tail) -> "StepFunction":
-        """tail + the sum of v·1_B over (B, v) entries that may overlap or
-        nest, evaluated once on the refinement of all their balls."""
-        totals = {}
-        for b, v in entries:
-            totals[b] = totals.get(b, 0) + _as_fraction(v)
-        index = BallIndex(totals.items())
-        # the value on a cell is that of the smallest entry around it: its
-        # own total plus the totals of every entry around that one
-        summed = [(b, 0, sum((v for _, v in index.around(b)), tail)) for b in totals]
-        cells = split_union(summed, (tail,))
-        return cls._build(ctx, kind, [(cell, v) for cell, (v,) in cells], tail)
 
     @classmethod
     def constant(cls, ctx, kind, value) -> "StepFunction":

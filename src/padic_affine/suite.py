@@ -15,6 +15,7 @@ from .affine import AffineElement, composition_defect, multiply, pair_product
 from .measure import IntensityMeasure, pushforward
 from .padic import Ball, ClopenSet, PadicContext
 from .poisson import (
+    MIN_SAMPLES,
     CountEvent,
     Exponential,
     left_sum,
@@ -305,7 +306,7 @@ def verify_all(p: int, seed: int, samples: int) -> list:
     """The full deterministic battery; audit findings never fail the run."""
     ctx = PadicContext(p)
     rng = random.Random(f"verify:{seed}")
-    mc_samples = max(samples, 1000)
+    mc_samples = max(samples, MIN_SAMPLES)
     reports = []
     reports.append(group_axiom_trials(ctx, rng, 200))
     reports.append(orientation_trials(ctx, rng, 200))

@@ -501,6 +501,44 @@ def test_act_function_walks_only_g_parts(monkeypatch):
     assert walked == [2]
 
 
+# a = 3, 1/3 and b = 1 on B(0;-1), B(1;-1) and B(2;-1): the images Z_3,
+# B(3;-2) and 3Z_3 nest three deep
+NESTED_IMAGES = (
+    "aff(a = {B(0;-1): 3, B(1;-1): 1/3 | tail 1}, b = {B(2;-1): 1 | tail 0})"
+)
+
+
+def test_pushforward_of_nested_images():
+    ctx = PadicContext(3)
+    g = parse_affine(NESTED_IMAGES, ctx)
+    want = parse_step(
+        "{B(0;-2): 4/3, B(3;-2): 13/3, B(6;-2): 4/3, B(1;-1): 1/3,"
+        " B(2;-1): 1/3 | tail 1}",
+        ctx,
+    )
+    mu = IntensityMeasure.haar(ctx)
+    assert pushforward(mu, g).density == want
+    assert ref_pushforward(mu, g) == want
+
+
+def test_pushforward_indexes_only_the_images(monkeypatch):
+    """The index that sums overlapping images holds the 3 image balls and
+    no moved cell."""
+    ctx = PadicContext(3)
+    g = parse_affine(NESTED_IMAGES, ctx)
+    indexed = []
+    init = BallIndex.__init__
+
+    def counted(self, entries):
+        entries = list(entries)
+        indexed.append(len(entries))
+        init(self, entries)
+
+    monkeypatch.setattr(BallIndex, "__init__", counted)
+    pushforward(IntensityMeasure.haar(ctx), g)
+    assert indexed == [3]
+
+
 # Calls made by check_laplace + composition_defect on the input below, as
 # measured with the pairwise set algebra that preceded the index.
 SEED_RELATION_CALLS = 1_076_404

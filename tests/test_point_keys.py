@@ -167,8 +167,9 @@ def test_subtract_builds_one_index(index_builds):
 
 
 def test_haar_pushforward_index_builds(index_builds):
-    # one, for the overlay's sums; the union walks over the parts of
-    # (a, b, rho) and under the overlay build none
+    # one, over the image balls, for the sums of the images around each;
+    # the union walk over the parts of (a, b, rho) and the two-slot walk
+    # over cells and images build none
     ctx = PadicContext(3)
     rng = random.Random("index-builds")
     for _ in range(5):

@@ -38,7 +38,7 @@ from padic_affine.errors import (
     ContractViolation, PadicAffineError, UnboundedIntegral, WindowMismatch
 )
 from padic_affine.measure import IntensityMeasure
-from padic_affine.poisson import laplace_exponent, mc_run
+from padic_affine.poisson import MIN_SAMPLES, laplace_exponent, mc_run
 from padic_affine.randgen import (
     random_clopen,
     random_element,
@@ -281,7 +281,8 @@ class TestWindowHandling:
 
 
 class TestZeroSamples:
-    """A Monte Carlo check asked for no samples refuses with a typed error."""
+    """A Monte Carlo check asked for fewer than MIN_SAMPLES samples refuses
+    with a typed error: mc_run refuses 0, mc_report refuses 1 to 999."""
 
     def setup_method(self):
         self.ctx = ctx3()
@@ -298,13 +299,15 @@ class TestZeroSamples:
         "check", [check_laplace_mc, check_rn_identity_mc, check_isometry_mc]
     )
     def test_exponential_replicas(self, check):
-        with pytest.raises(PadicAffineError):
-            check(self.g, self.f, 0, 1)
+        for samples in (0, 1, MIN_SAMPLES - 1):
+            with pytest.raises(PadicAffineError):
+                check(self.g, self.f, samples, 1)
 
     def test_factorization(self):
         poly = Polynomial(((self.f, 1),))
-        with pytest.raises(PadicAffineError):
-            check_factorization(self.ev, poly, samples=0, seed=1)
+        for samples in (0, 1, MIN_SAMPLES - 1):
+            with pytest.raises(PadicAffineError):
+                check_factorization(self.ev, poly, samples=samples, seed=1)
 
 
 class TestInfiniteExponent:
