@@ -513,7 +513,6 @@ _BLOCK_BYTES = 1 << 14  # random bytes one mc_run block reads at most
 _BLOCK_DRAWS = 512  # draws one mc_run block holds at most
 _STEP = 2.0**-53  # random() is ((w0 >> 5) * 2^26 + (w1 >> 6)) * _STEP
 _WORDS = struct.Struct("<II")  # two 32-bit outputs, as getrandbits lays them out
-_TOP_BYTE = (0xFF << 24).to_bytes(8, "little")  # a lane's top byte of u
 
 
 def _chunk_rng(seed: int, index: int) -> random.Random:
@@ -541,36 +540,51 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
     configuration, []. The stream is pre-split into fixed-size chunks merged in
     index order, so the estimate is bit-identical for a given (seed, n).
 
+    An evaluator may declare reads, the set of atom indices whose counts can
+    change its value; a plain callable reads every atom. The pairs of the
+    atoms it does not read are left out. Each is a step the evaluator would
+    take as an exact float identity: x + c·0.0 is x for the sums, which are
+    never -0.0, w·1.0**c is w for the weights, and a pairing left at the
+    int 0 gives psi what the float 0.0 would (exp(0) is exp(0.0), and 0**e
+    times a float is 0.0**e times it, signs included). So the estimate is
+    the same, bit for bit, whatever reads leaves out.
+
     A draw reads one uniform per slot: one per atom, or one per piece of a
-    rate above SPLIT_RATE, in the order PoissonVariate.draw reads them. A
-    piece is an ordinary slot with T = 0 below, and the nonzero counts of an
-    atom's pieces are summed into its one (atom index, count) pair. Each
-    block of draws reads its uniforms with one getrandbits call: random() is
-    (w0 >> 5, w1 >> 6) of two consecutive 32-bit outputs, which getrandbits
-    emits in the same order, least significant first, so each uniform is one
-    64-bit lane w0 | w1 << 32. A uniform whose top byte (bits 24-31 of w0)
-    is below T = floor(P(N = 0)·256) lies below P(N = 0), so its count is 0.
-    Adding (256 - T) << 24 to the masked top byte of every lane carries into
-    bit 32 exactly where the top byte is >= T, for all slots in one integer
-    sum; find walks those lanes, and only their uniforms are bisected, each
-    formed in float exactly as random() forms it, in the rate's one CDF
-    table, the PoissonVariate.table that draw reads. The work per draw is
-    about atoms/256 plus the points drawn, beside C passes over its bytes.
+    rate above SPLIT_RATE, in the order PoissonVariate.draw reads them,
+    whether or not the atom is read, so the stream does not depend on
+    reads. A piece is an ordinary slot with T = 0 below, and the nonzero
+    counts of an atom's pieces are summed into its one (atom index, count)
+    pair. Each block of draws reads its uniforms with one getrandbits call:
+    random() is (w0 >> 5, w1 >> 6) of two consecutive 32-bit outputs, which
+    getrandbits emits in the same order, least significant first, so each
+    uniform is one 64-bit lane w0 | w1 << 32. A uniform whose top byte
+    (bits 24-31 of w0, byte 3 of the lane) is below T = floor(P(N = 0)·256)
+    lies below P(N = 0), so its count is 0. The top bytes are copied into
+    2-byte lanes, and adding 256 - T to each lane carries into its high byte
+    exactly where the top byte is >= T, for all slots in one integer sum; an
+    unread atom's lanes add 0, so they never carry. find walks the carried
+    lanes, and only their uniforms are bisected, each formed in float
+    exactly as random() forms it, in the rate's one CDF table, the
+    PoissonVariate.table that draw reads. The work per draw is about
+    read atoms/256 plus the points drawn in read atoms, beside C passes over
+    2 bytes per slot.
     """
     if n < 1:
         raise PadicAffineError("Monte Carlo runs need at least one sample")
+    reads = getattr(eval_counts, "reads", None)
     plan = []  # per slot: (atom index, CDF table)
-    lift = bytearray()  # per slot: (256 - T) << 24 as one little-endian lane
+    lifts = []  # per slot: 256 - T, or 0 for an atom the evaluator does not read
     for i, (_, rate, _) in enumerate(atoms):
         variate = PoissonVariate(rate)
         # a split rate has no zero shortcut: T = 0 marks each of its pieces
         t = int(max(variate.zero, 0.0) * 256)
         plan += [(i, variate.table)] * variate.pieces
-        lift += ((256 - t) << 24).to_bytes(8, "little") * variate.pieces
+        lifts += [256 - t if reads is None or i in reads else 0] * variate.pieces
     slots = len(plan)
+    lift = struct.pack(f"<{slots}H", *lifts)  # one 2-byte lane per slot
     width = 8 * slots  # random bytes per draw
     rows = max(1, min(_BLOCK_DRAWS, _BLOCK_BYTES // max(width, 1)))
-    lanes = {}  # draws in a block -> (top-byte mask, lift) over the block
+    lanes = {}  # draws in a block -> (2-byte lanes of top bytes, lift) over the block
     words = _WORDS.unpack_from
     total = 0.0
     total_sq = 0.0
@@ -582,15 +596,18 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
         for start in range(0, take, rows):
             block = min(rows, take - start)
             if block not in lanes:
+                # the high bytes of the lanes stay 0; each block fills the low
                 lanes[block] = (
-                    int.from_bytes(_TOP_BYTE * (slots * block), "little"),
+                    bytearray(2 * slots * block),
                     int.from_bytes(lift * block, "little"),
                 )
-            mask, bias = lanes[block]
+            tops, bias = lanes[block]
             nbytes = width * block
-            bits = rng.getrandbits(8 * nbytes)
-            raw = bits.to_bytes(nbytes, "little")
-            marked = ((bits & mask) + bias).to_bytes(nbytes, "little")[4::8]
+            raw = rng.getrandbits(8 * nbytes).to_bytes(nbytes, "little")
+            tops[::2] = raw[3::8]
+            marked = (int.from_bytes(tops, "little") + bias).to_bytes(
+                2 * slots * block, "little"
+            )[1::2]
             nonzero = [[] for _ in range(block)]
             q = marked.find(1)  # q = row · slots + slot
             while q != -1:
@@ -624,7 +641,8 @@ def _counts_evaluator(f: CylinderFunction, atoms: list, offset: int = 0):
     them: (atom index, count) pairs in atom order. values[offset...] hold
     the per-cell values of f.fns() in mc_atoms order, so each pairing is the
     sum of count times value over the atoms hit, added left to right as
-    left_sum does."""
+    left_sum does. Its reads are the atoms with a nonzero value in some
+    pairing: any other atom adds c·0.0 to each sum (see mc_run)."""
     rows = [
         [float(vals[j]) for _, _, vals in atoms]
         for j in range(offset, offset + len(f.fns()))
@@ -640,13 +658,14 @@ def _counts_evaluator(f: CylinderFunction, atoms: list, offset: int = 0):
             xs.append(x)
         return psi(xs)
 
+    ev.reads = frozenset(i for row in rows for i, v in enumerate(row) if v != 0.0)
     return ev
 
 
 def product_evaluator(mu: IntensityMeasure, fs: list):
     """(atoms, evaluator) for Monte Carlo of the product of the descriptors
     fs under pi_mu: mc_atoms of their functions and the product of their
-    count evaluators."""
+    count evaluators, which reads what any factor reads."""
     atoms = mc_atoms(mu, [fn for f in fs for fn in f.fns()])
     evs = []
     offset = 0
@@ -662,6 +681,7 @@ def product_evaluator(mu: IntensityMeasure, fs: list):
             out *= ev(pairs)
         return out
 
+    product.reads = frozenset().union(*(ev.reads for ev in evs))
     return atoms, product
 
 

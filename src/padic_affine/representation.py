@@ -118,10 +118,14 @@ def _exp_report(name, lhs, rhs, audit=False, note=None, compared="compared expon
     return _exact_report(name, math.exp(lhs), math.exp(rhs), audit=audit, note=note)
 
 
-def _importance_evaluator(atoms, scale: float):
-    """Nonzero counts, as mc_run passes them, -> prod_i rho_i^{c_i} ·
-    exp(scale · sum_i c_i f_i) over atoms whose values are (rho, f): an
-    exponential under an importance weight."""
+def _importance_evaluator(mu: IntensityMeasure, fns: list, scale: float):
+    """(atoms, evaluator) for Monte Carlo of an exponential under an
+    importance weight: mc_atoms of mu over fns = [rho, f], and the map from
+    nonzero counts, as mc_run passes them, to prod_i rho_i^{c_i} ·
+    exp(scale · sum_i c_i f_i). Its reads are the atoms with rho != 1 or
+    f != 0: any other atom multiplies by 1.0**c and adds scale·c·0.0 (see
+    mc_run)."""
+    atoms = mc_atoms(mu, fns)
     rho_vals = [float(vals[0]) for _, _, vals in atoms]
     f_vals = [float(vals[1]) for _, _, vals in atoms]
 
@@ -133,7 +137,11 @@ def _importance_evaluator(atoms, scale: float):
             s += scale * c * f_vals[i]
         return w * math.exp(s)
 
-    return ev
+    ev.reads = frozenset(
+        i for i, (rv, fv) in enumerate(zip(rho_vals, f_vals))
+        if rv != 1.0 or fv != 0.0
+    )
+    return atoms, ev
 
 
 def count_report(name, failures, trials, audit=False, note=None) -> CheckReport:
@@ -153,11 +161,16 @@ def count_report(name, failures, trials, audit=False, note=None) -> CheckReport:
     )
 
 
-def mc_report(name, mean, se, target, seed, samples, audit=False):
+def _require_samples(name, samples) -> None:
+    """The one sample floor: fewer than MIN_SAMPLES is a PadicAffineError."""
     if samples < MIN_SAMPLES:
         raise PadicAffineError(
             f"{name} needs at least {MIN_SAMPLES} samples, got {samples}"
         )
+
+
+def mc_report(name, mean, se, target, seed, samples, audit=False):
+    _require_samples(name, samples)
     if se == 0.0:
         z = 0.0 if mean == target else float("inf")
     else:
@@ -174,6 +187,17 @@ def mc_report(name, mean, se, target, seed, samples, audit=False):
         seed=seed,
         samples=samples,
     )
+
+
+def _replica(name, target, sampler, samples, seed, audit=False) -> CheckReport:
+    """A Monte Carlo replica of an identity against its target, which the
+    caller computes first so that a target past a float's range is refused
+    before anything is sampled. Then the sample floor, then sampler(), which
+    gives (atoms, evaluator), then mc_run and mc_report."""
+    _require_samples(name, samples)
+    atoms, ev = sampler()
+    mean, se = mc_run(atoms, ev, samples, seed)
+    return mc_report(name, mean, se, target, seed, samples, audit)
 
 
 # -- Radon-Nikodym ----------------------------------------------------------
@@ -227,9 +251,10 @@ def check_rn_identity_mc(
     # the target first: past a float's range the check is refused before
     # any sampling
     target = exp_checked(laplace_exponent(f, mu))
-    atoms = mc_atoms(haar, [mu.density, f])
-    mean, se = mc_run(atoms, _importance_evaluator(atoms, 1.0), samples, seed)
-    return mc_report("rn-identity-mc", mean, se, target, seed, samples)
+    return _replica(
+        "rn-identity-mc", target,
+        lambda: _importance_evaluator(haar, [mu.density, f], 1.0), samples, seed,
+    )
 
 
 # -- Laplace duality (central identity) -------------------------------------
@@ -248,9 +273,11 @@ def check_laplace_mc(
 ) -> CheckReport:
     haar = IntensityMeasure.haar(g.ctx)
     target = exp_checked(laplace_exponent(f, pushforward(haar, g)))
-    atoms, ev = product_evaluator(haar, [Exponential(g.act_function(f))])
-    mean, se = mc_run(atoms, ev, samples, seed)
-    return mc_report("laplace-duality-mc", mean, se, target, seed, samples)
+    return _replica(
+        "laplace-duality-mc", target,
+        lambda: product_evaluator(haar, [Exponential(g.act_function(f))]),
+        samples, seed,
+    )
 
 
 def check_dual_pairing(
@@ -296,9 +323,11 @@ def check_isometry_mc(
     back = pushforward(haar, g.inverse())
     nu = pushforward(back, g)
     target = exp_checked(laplace_exponent(f.map_values(lambda v: 2 * v), nu))
-    atoms = mc_atoms(haar, [back.density, g.act_function(f)])
-    mean, se = mc_run(atoms, _importance_evaluator(atoms, 2.0), samples, seed)
-    return mc_report("isometry-mc", mean, se, target, seed, samples, audit=True)
+    return _replica(
+        "isometry-mc", target,
+        lambda: _importance_evaluator(haar, [back.density, g.act_function(f)], 2.0),
+        samples, seed, audit=True,
+    )
 
 
 # -- decoupling and ergodicity ----------------------------------------------
@@ -354,9 +383,11 @@ def check_factorization(
         return _exp_report("factorization", lhs, rhs)
     if samples is None:
         raise UnsupportedShape("non-exponential pairs need a sample budget")
-    mean, se = mc_run(*product_evaluator(haar, [f1, moved]), samples, seed)
     target = poisson_expect_exact(f1, haar) * poisson_expect_exact(f2, haar)
-    return mc_report("factorization-mc", mean, se, target, seed, samples)
+    return _replica(
+        "factorization-mc", target, lambda: product_evaluator(haar, [f1, moved]),
+        samples, seed,
+    )
 
 
 def check_invariance(f: CylinderFunction, g: AffineElement) -> CheckReport:

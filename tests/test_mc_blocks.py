@@ -1,9 +1,13 @@
 """Monte Carlo by blocks: mc_run reads each chunk's uniforms with getrandbits
-and bisects only the uniforms a top byte cannot settle as a zero count.
+and bisects only the uniforms a top byte cannot settle as a zero count, in
+the atoms the evaluator reads.
 
 The per-atom, per-draw loop it replaces is kept here as ref_mc_run, with
 the evaluators over every atom's count; every estimate must equal it bit
-for bit, on the same seeds.
+for bit, on the same seeds, also on sparse windows where most atoms, a
+split rate among them, are unread. The package evaluators' reads must be
+exact: leaving out the pairs of the atoms they do not read leaves each
+value bit-identical.
 """
 
 import math
@@ -17,11 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_affine import poisson, randgen, representation
+from padic_affine.affine import AffineElement
 from padic_affine.measure import IntensityMeasure
-from padic_affine.padic import ClopenSet, PadicContext
+from padic_affine.padic import Ball, ClopenSet, PadicContext
 from padic_affine.poisson import (
     _CHUNK,
     _TABLE_END,
+    EQ,
     GE,
     LE,
     SPLIT_RATE,
@@ -33,6 +39,7 @@ from padic_affine.poisson import (
     mc_run,
     product_evaluator,
 )
+from padic_affine.representation import check_laplace_mc
 from padic_affine.stepfn import REAL, StepFunction
 
 PRIMES = [2, 3, 5]
@@ -193,9 +200,10 @@ def test_importance_estimates_equal_the_per_atom_loop(p, seed, n):
     rng = random.Random(seed)
     kinds = [rng.choice(["tiny", "one", "mid"]) for _ in range(4)]
     mu, f, _ = intensity(ctx, rng, kinds)
-    atoms = mc_atoms(IntensityMeasure.haar(ctx), [mu.density, f])
+    haar = IntensityMeasure.haar(ctx)
     for scale in (1.0, 2.0):
-        got = mc_run(atoms, representation._importance_evaluator(atoms, scale), n, seed)
+        atoms, ev = representation._importance_evaluator(haar, [mu.density, f], scale)
+        got = mc_run(atoms, ev, n, seed)
         assert got == ref_mc_run(atoms, ref_importance_evaluator(atoms, scale), n, seed)
 
 
@@ -222,6 +230,137 @@ def test_no_atoms_evaluates_the_empty_configuration():
 
     assert mc_run([], ev, 1000, 3) == ref_mc_run([], lambda counts: 2.5, 1000, 3)
     assert calls == [[]] * 1000
+
+
+# -- the atoms an evaluator reads ------------------------------------------------
+
+
+def same_float(a: float, b: float) -> bool:
+    """a and b are the same float, bit for bit: -0.0 is not 0.0."""
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def reads_cases(ctx, rng):
+    """(atoms, evaluator) of every package evaluator on one random input:
+    each descriptor alone, their product, and the importance evaluator at
+    scales 1 and 2. f takes some zero values, h only negative ones, and the
+    count event uses =, <= and >=."""
+    balls = randgen.random_disjoint_balls(ctx, rng, 6, root_exp=2, splits=6)
+
+    def on_some(values, tail):
+        chosen = rng.sample(balls, rng.randint(1, len(balls)))
+        return StepFunction.make(ctx, REAL, [(b, rng.choice(values)) for b in chosen], tail)
+
+    f = on_some([Fraction(v, 8) for v in range(-4, 5)], 0)
+    h = on_some([Fraction(-v, 3) for v in range(1, 4)], 0)
+    rho = on_some([Fraction(1), Fraction(1, 3), Fraction(5, 2)], 1)
+    mu = IntensityMeasure(rho)
+    sets = [ClopenSet.of(ctx, rng.sample(balls, rng.randint(1, 2))) for _ in range(3)]
+    event = CountEvent(tuple(
+        (s, op, rng.randint(0, 2)) for s, op in zip(sets, (EQ, LE, GE))
+    ))
+    fs = [Exponential(f), Polynomial(((f, 1), (h, 3))), event]
+    cases = [product_evaluator(mu, [g]) for g in fs] + [product_evaluator(mu, fs)]
+    haar = IntensityMeasure.haar(ctx)
+    for scale in (1.0, 2.0):
+        cases.append(representation._importance_evaluator(haar, [rho, f], scale))
+    return cases
+
+
+@given(p=st.sampled_from(PRIMES), seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_unread_pairs_leave_the_value_bit_identical(p, seed):
+    ctx = PadicContext(p)
+    rng = random.Random(seed)
+    for atoms, ev in reads_cases(ctx, rng):
+        assert ev.reads <= set(range(len(atoms)))
+        unread = [i for i in range(len(atoms)) if i not in ev.reads]
+        # some atoms, only unread ones, and every atom
+        for chosen in (
+            rng.sample(range(len(atoms)), rng.randint(0, len(atoms))),
+            rng.sample(unread, rng.randint(0, len(unread))),
+            range(len(atoms)),
+        ):
+            pairs = [(i, rng.randint(1, 6)) for i in sorted(chosen)]
+            kept = [(i, c) for i, c in pairs if i in ev.reads]
+            assert same_float(ev(kept), ev(pairs))
+
+
+def sparse_window(p):
+    """f and a negative h on two balls of radius -1 whose centers lie at
+    |x|_p = p^e, so the hull is B(0; e) with e the least exponent whose
+    top cells have a Haar rate past SPLIT_RATE; the density is 5/2 on one
+    of the two balls and 1 elsewhere. Every other cell, the split ones
+    among them, is unread by all the evaluators."""
+    ctx = PadicContext(p)
+    e = next(k for k in range(1, 20) if p ** (k - 1) > SPLIT_RATE)
+    small = Ball(ctx, -1, ((-e, 1),))
+    beside = Ball(ctx, -1, ((-e, 1), (0, 1)))
+    f = StepFunction.make(ctx, REAL, [(small, Fraction(3, 4)), (beside, Fraction(-1, 2))], 0)
+    h = StepFunction.make(ctx, REAL, [(beside, Fraction(-2, 3))], 0)
+    rho = StepFunction.make(ctx, REAL, [(small, Fraction(5, 2))], 1)
+    event = CountEvent((
+        (ClopenSet.of(ctx, [small]), GE, 1), (ClopenSet.of(ctx, [beside]), LE, 1),
+    ))
+    return ctx, IntensityMeasure(rho), f, h, event
+
+
+def assert_sparse(atoms, ev):
+    """At most a quarter of the atoms are read, and an unread one has a
+    split rate."""
+    assert 4 * len(ev.reads) <= len(atoms)
+    assert any(
+        rate > SPLIT_RATE for i, (_, rate, _) in enumerate(atoms) if i not in ev.reads
+    )
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_sparse_windows_equal_the_per_atom_loop(p):
+    ctx, mu, f, h, event = sparse_window(p)
+    fs = [Exponential(f), Polynomial(((f, 1), (h, 3))), event]
+    offsets = [0, 1, 3]  # f; f and h; the event's two sets
+    n = 1500
+    atoms, ev = product_evaluator(mu, fs)
+    assert_sparse(atoms, ev)
+    ref = ref_product([ref_counts_evaluator(g, atoms, o) for g, o in zip(fs, offsets)])
+    assert mc_run(atoms, ev, n, 29) == ref_mc_run(atoms, ref, n, 29)
+    for g in fs:
+        atoms, ev = product_evaluator(mu, [g])
+        assert_sparse(atoms, ev)
+        assert mc_run(atoms, ev, n, 31) == ref_mc_run(
+            atoms, ref_counts_evaluator(g, atoms), n, 31
+        )
+    haar = IntensityMeasure.haar(ctx)
+    for scale in (1.0, 2.0):
+        atoms, ev = representation._importance_evaluator(haar, [mu.density, f], scale)
+        assert_sparse(atoms, ev)
+        assert mc_run(atoms, ev, n, 37) == ref_mc_run(
+            atoms, ref_importance_evaluator(atoms, scale), n, 37
+        )
+
+
+def test_laplace_replica_bisects_only_the_read_atom(monkeypatch):
+    """check_laplace_mc with f nonzero on one ball of radius -4 inside a
+    B(0; 3) hull: of the 15 atoms, mc_run bisects the lanes of that one
+    alone, so every table handed to bisect_left is its table."""
+    ctx = PadicContext(3)
+    small = Ball(ctx, -4, ((-3, 1),))
+    f = StepFunction.make(ctx, REAL, [(small, Fraction(1, 2))], 0)
+    atoms = mc_atoms(IntensityMeasure.haar(ctx), [f])
+    assert len(atoms) == 15
+    (read_rate,) = [rate for cell, rate, _ in atoms if cell == small]
+    tables = []
+    real = poisson.bisect_left
+
+    def bisect_left(table, u):
+        tables.append(table)
+        return real(table, u)
+
+    monkeypatch.setattr(poisson, "bisect_left", bisect_left)
+    check_laplace_mc(AffineElement.identity(ctx), f, 2000, 0)
+    assert tables
+    assert len({id(table) for table in tables}) == 1
+    assert tables[0] == PoissonVariate(read_rate).table
 
 
 # -- the uniforms of a block -------------------------------------------------------

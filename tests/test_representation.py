@@ -282,7 +282,8 @@ class TestWindowHandling:
 
 class TestZeroSamples:
     """A Monte Carlo check asked for fewer than MIN_SAMPLES samples refuses
-    with a typed error: mc_run refuses 0, mc_report refuses 1 to 999."""
+    with a typed error: mc_run refuses 0, and the replicas refuse 0 to 999
+    before they sample."""
 
     def setup_method(self):
         self.ctx = ctx3()
@@ -306,6 +307,23 @@ class TestZeroSamples:
     def test_factorization(self):
         poly = Polynomial(((self.f, 1),))
         for samples in (0, 1, MIN_SAMPLES - 1):
+            with pytest.raises(PadicAffineError):
+                check_factorization(self.ev, poly, samples=samples, seed=1)
+
+    def test_refused_before_sampling(self, monkeypatch):
+        """The floor is checked before mc_run draws anything: with mc_run
+        refusing every call, too few samples still end in the floor's
+        PadicAffineError for all four replicas."""
+
+        def no_sampling(*args):
+            raise AssertionError("mc_run reached")
+
+        monkeypatch.setattr("padic_affine.representation.mc_run", no_sampling)
+        poly = Polynomial(((self.f, 1),))
+        for samples in (1, MIN_SAMPLES - 1):
+            for check in (check_laplace_mc, check_rn_identity_mc, check_isometry_mc):
+                with pytest.raises(PadicAffineError):
+                    check(self.g, self.f, samples, 1)
             with pytest.raises(PadicAffineError):
                 check_factorization(self.ev, poly, samples=samples, seed=1)
 
