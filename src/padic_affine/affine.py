@@ -191,7 +191,11 @@ def composition_defect(
 ) -> ClopenSet:
     """Exact region where acting by g1 then g2 on f differs from the action
     of the product element; an empty set certifies the pointwise group
-    property for this triple."""
+    property for this triple.
+
+    Both sides keep f's tail, so they differ only on cells of the union
+    walk over their parts, and those cells make the region."""
     composed = g1.act_function(g2.act_function(f))
     product = multiply(g1, g2).act_function(f)
-    return (composed - product).deviation_support()
+    differ = [(c, None) for c, (u, v) in union_cells((composed, product)) if u != v]
+    return ClopenSet.of_cells(f.ctx, differ)

@@ -35,7 +35,7 @@ class IntensityMeasure:
             raise PadicAffineError("density must be real-kind")
         if density.tail != 1:
             raise PadicAffineError("density tail must be 1")
-        if any(v < 0 for _, v in density.parts):
+        if any(v.numerator < 0 for _, v in density.parts):
             raise PadicAffineError("density values must be nonnegative")
         self.density = density
         self.prepared = None
@@ -70,25 +70,37 @@ def pushforward(mu: IntensityMeasure, g: AffineElement) -> IntensityMeasure:
     """Exact step density of g*(rho·m), read on the cells of one union
     walk over the parts of a, b and rho; overlapping images are summed, so
     total mass over the moved region is conserved."""
-    ctx = mu.ctx
+    p = mu.ctx.p
+    zero = Fraction(0)
     # slot 0: v on each cell that g fixes, 0 on each it moves. y in the
-    # image pulls back to a·y - b in the cell, so the image gains |a|_p·v
+    # image pulls back to a·y - b in the cell, so the image gains |a|_p·v.
+    # An operand of 0 (+) or 1 (·) is passed through, not computed with
     entries, weights = [], {}
     for cell, (a, b, v) in union_cells((g.a, g.b, mu.density)):
         if a == 1 and b == 0:
             entries.append((cell, 0, v))
-        else:
-            entries.append((cell, 0, Fraction(0)))
-            image = cell.image(a, b)
-            weights[image] = weights.get(image, 0) + fraction_abs_p(a, ctx.p) * v
+            continue
+        entries.append((cell, 0, zero))
+        image = cell.image(a, b)
+        w = fraction_abs_p(a, p)
+        if v != 1:
+            w *= v
+        old = weights.get(image)
+        weights[image] = w if old is None else old + w
     # slot 1: on each image ball, the weights of every image around it
     index = BallIndex(weights.items())
     for image in weights:
-        total = sum((w for _, w in index.around(image)), Fraction(0))
+        around = index.around(image)
+        total = around[0][1]
+        for _, w in around[1:]:
+            total += w
         entries.append((image, 1, total))
-    cells = split_union(entries, (Fraction(1), Fraction(0)))
-    parts = [(cell, fixed + moved) for cell, (fixed, moved) in cells]
-    return IntensityMeasure(StepFunction._build(ctx, REAL, parts, Fraction(1)))
+    cells = split_union(entries, (Fraction(1), zero))
+    parts = [
+        (cell, moved if not fixed else fixed if not moved else fixed + moved)
+        for cell, (fixed, moved) in cells
+    ]
+    return IntensityMeasure(StepFunction._build(mu.ctx, REAL, parts, Fraction(1)))
 
 
 def roundtrip_defect(g: AffineElement) -> Fraction:

@@ -421,37 +421,51 @@ def split_union(entries, values: tuple) -> list:
     the smallest entry of that slot around it, else values[slot]; balls of
     one p may nest and repeat, within a slot and across slots.
 
-    Entries group by (radius_exp, key). Taken largest radius first, each
-    finds its root, an entry inside no other, with one dict hit per root
-    radius; each root runs one descent, the trees in the order their first
-    member appears in the entries. A lone root is its first entry's Ball."""
-    at = {}
+    Entries group by (radius_exp, key), each slot hashed once and the
+    groups numbered in first-appearance order. Taken largest radius first,
+    each group finds its root, a group inside no other, with one dict hit
+    per root radius; each root runs one descent, the trees in the order
+    their first member appears in the entries. Roots and trees are kept by
+    group number. A lone root is its first entry's Ball."""
+    at, groups = {}, []  # at: (radius_exp, key) slot -> group number
     for entry in entries:
-        at.setdefault((entry[0].radius_exp, entry[0].key), []).append(entry)
-    roots, radii = {}, {}  # radii: the roots' radii as an ordered set, descending
-    for slot in sorted(at, reverse=True):
-        ball = at[slot][0][0]
-        for big in reversed(radii):
-            root = roots.get((big, ball.truncate_key(big)))
+        ball = entry[0]
+        i = at.setdefault((ball.radius_exp, ball.key), len(groups))
+        if i == len(groups):
+            groups.append([entry])
+        else:
+            groups[i].append(entry)
+    balls = [group[0][0] for group in groups]
+    radius = [ball.radius_exp for ball in balls]
+    root_of = [None] * len(groups)
+    radii = {}  # the roots' radii as an ordered set, descending
+    for i in sorted(range(len(groups)), key=radius.__getitem__, reverse=True):
+        key = balls[i].key
+        n = len(key)
+        for big in reversed(radii):  # ascending: key[:n] is truncate_key(big)
+            while n and key[n - 1][0] >= -big:
+                n -= 1
+            # a miss, or a hit on this slot itself, reads root_of[i]: None
+            root = root_of[at.get((big, key[:n]), i)]
             if root is not None:
                 break
         else:
-            root = slot
-            radii[slot[0]] = None
-        roots[slot] = root
+            root = i
+            radii[radius[i]] = None
+        root_of[i] = root
     trees = {}
-    for slot in at:
-        trees.setdefault(roots[slot], []).append(slot)
+    for i, root in enumerate(root_of):
+        trees.setdefault(root, []).append(i)
     cells = []
     for root, members in trees.items():
         top = list(values)
-        for _, slot, value in at[root]:
+        for _, slot, value in groups[root]:
             top[slot] = value
-        cuts = [entry for m in members if m is not root for entry in at[m]]
+        cuts = [entry for m in members if m != root for entry in groups[m]]
         if cuts:
-            _descend(at[root][0][0], tuple(top), cuts, cells)
+            _descend(balls[root], tuple(top), cuts, cells)
         else:
-            cells.append((at[root][0][0], tuple(top)))
+            cells.append((balls[root], tuple(top)))
     return cells
 
 
@@ -519,7 +533,13 @@ class ClopenSet:
     def of(cls, ctx: PadicContext, balls) -> "ClopenSet":
         """Union of the given balls (nesting and duplicates allowed): the
         cells of their union walk in one slot, siblings merged."""
-        cells = split_union([(b, 0, None) for b in balls], (None,))
+        return cls.of_cells(ctx, split_union([(b, 0, None) for b in balls], (None,)))
+
+    @classmethod
+    def of_cells(cls, ctx: PadicContext, cells: list) -> "ClopenSet":
+        """Union of disjoint (ball, value) cells that all carry one value:
+        siblings merged, which leaves its maximal balls, the one canonical
+        form."""
         return cls(ctx, tuple(b for b, _ in merge_siblings(ctx, cells)))
 
     def __eq__(self, other):
@@ -568,7 +588,7 @@ class ClopenSet:
         self._check(other)
         cells = union_cells((self, other))
         kept = [(cell, None) for cell, (a, b) in cells if a and b == in_other]
-        return ClopenSet(self.ctx, tuple(b for b, _ in merge_siblings(self.ctx, kept)))
+        return ClopenSet.of_cells(self.ctx, kept)
 
     def translate(self, h: Fraction) -> "ClopenSet":
         return ClopenSet.of(self.ctx, [b.image(1, h) for b in self.balls])

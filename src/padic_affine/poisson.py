@@ -411,10 +411,12 @@ def cell_mass(rho: Fraction, cell: Ball) -> float:
 
 def laplace_sum(cells: list) -> float:
     """The integral of (e^f - 1) rho dm over (cell, (f, rho)) cells; one
-    float exponential per cell."""
+    float exponential per cell. A cell where f = 0 adds exactly 0.0, and
+    fsum is exactly rounded, so it is skipped: its mass may be past a
+    float's range."""
     try:
         total = math.fsum(
-            math.expm1(fv) * cell_mass(rv, cell) for cell, (fv, rv) in cells
+            math.expm1(fv) * cell_mass(rv, cell) for cell, (fv, rv) in cells if fv
         )
         if math.isfinite(total):  # a product past a float's range is inf
             return total

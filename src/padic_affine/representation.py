@@ -126,8 +126,13 @@ def _importance_evaluator(mu: IntensityMeasure, fns: list, scale: float):
     f != 0: any other atom multiplies by 1.0**c and adds scale·c·0.0 (see
     mc_run)."""
     atoms = mc_atoms(mu, fns)
-    rho_vals = [float(vals[0]) for _, _, vals in atoms]
-    f_vals = [float(vals[1]) for _, _, vals in atoms]
+    try:
+        rho_vals = [float(vals[0]) for _, _, vals in atoms]
+        f_vals = [float(vals[1]) for _, _, vals in atoms]
+    except OverflowError:
+        raise PadicAffineError(
+            "the importance weight overflows a float: a density or f value is too large"
+        ) from None
 
     def ev(pairs):
         w = 1.0
@@ -235,10 +240,16 @@ def check_rn_identity(g: AffineElement, f: StepFunction) -> CheckReport:
     # a float
     rhs_exp = laplace_sum(cells)
     # E_m[R e^{<f>}] = exp(int (rho e^f - 1) dm), tail contributes 0
-    lhs_exp = math.fsum(
-        (float(rv) * math.exp(fv) - 1.0) * cell_mass(1, cell)
-        for cell, (fv, rv) in cells
-    )
+    try:
+        lhs_exp = math.fsum(
+            (float(rv) * math.exp(fv) - 1.0) * cell_mass(1, cell)
+            for cell, (fv, rv) in cells
+        )
+    except OverflowError:
+        raise PadicAffineError(
+            "the RN identity overflows a float: a density value or a cell's "
+            "mass is too large"
+        ) from None
     return _exp_report("rn-identity", lhs_exp, rhs_exp)
 
 

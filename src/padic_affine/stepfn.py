@@ -107,8 +107,7 @@ class StepFunction:
     def deviation_support(self) -> ClopenSet:
         """Exact clopen set where the function differs from its tail: the
         parts' balls, already disjoint, with complete sibling families merged."""
-        merged = merge_siblings(self.ctx, [(b, None) for b, _ in self.parts])
-        return ClopenSet(self.ctx, tuple(b for b, _ in merged))
+        return ClopenSet.of_cells(self.ctx, [(b, None) for b, _ in self.parts])
 
     # -- evaluation and algebra --------------------------------------------
 

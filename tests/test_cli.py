@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from padic_affine import cli, representation
+from padic_affine.affine import AffineElement
 from padic_affine.cli import RunConfig, main
+from padic_affine.grammar import format_affine
 from padic_affine.padic import Ball, ClopenSet, PadicContext
 from padic_affine.poisson import CountEvent
 
@@ -174,6 +177,35 @@ class TestFloatRange:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+    @staticmethod
+    def steep_element():
+        """a = 2^-1100 on Z_2: g*m has density 0 on Z_2 off B(0;-1100) and
+        2^1100 on it, past a float's range."""
+        ctx = PadicContext(2)
+        a_parts = [(Ball(ctx, 0, ()), Fraction(1, 2**1100))]
+        return format_affine(AffineElement.from_parts(ctx, a_parts, []))
+
+    def test_zero_f_cell_past_float_range_passes(self, capsys):
+        """f = 0 on the cells whose mass is past a float's range: they add
+        nothing to the Laplace exponent, and the audit runs."""
+        code, out, err = run(
+            capsys, "--p", "2", "unitarity", "--g", self.steep_element(),
+            "--f", "{B(0;0): 1 | tail 0}",
+        )
+        assert code == 0
+        assert err == ""
+        assert out.startswith("AUDIT isometry")
+
+    def test_rn_density_past_float_range_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "--p", "2", "rn", "--g", self.steep_element(),
+            "--f", "{B(0;0): 1 | tail 0}",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflows a float" in err
 
 
 class TestDecoupleAndSample:

@@ -98,6 +98,14 @@ class TestLaplaceExponent:
         want = (math.expm1(1.0) + math.expm1(-1.0)) / 3.0
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_zero_f_cell_past_float_range_is_skipped(self):
+        """mu = 2 on B(0;1100) at p = 2: the cell where f = 0 has a mass
+        past a float's range and adds exactly 0, so it is left out."""
+        ctx = PadicContext(2)
+        mu = IntensityMeasure(StepFunction.make(ctx, REAL, [(Ball(ctx, 1100, ()), 2)], 1))
+        f = indicator_step(ctx, Ball(ctx, 0, ()), 1)
+        assert laplace_exponent(f, mu) == math.expm1(1.0) * 2.0 == 3.43656365691809
+
     @pytest.mark.parametrize("describe", [
         pytest.param(Exponential, id="exponential"),
         pytest.param(lambda f: Polynomial(((f, 1),)), id="polynomial"),

@@ -1,6 +1,7 @@
 """Radon-Nikodym densities, the duality checks, unitarity audits and
 decoupling."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -343,6 +344,23 @@ class TestInfiniteExponent:
         monkeypatch.setattr("padic_affine.representation.mc_run", no_sampling)
         with pytest.raises(PadicAffineError):
             check(AffineElement.identity(ctx), f, 1000, 0)
+
+
+class TestDensityPastFloatRange:
+    """a = 2^-1100 on Z_2: g*m is 2^1100 on B(0;-1100), past a float's range,
+    while f = 1 on Z_2 keeps the Laplace exponent finite. Both Radon-Nikodym
+    checks refuse the density with the typed error, not an OverflowError."""
+
+    @pytest.mark.parametrize("check", [
+        pytest.param(check_rn_identity, id="exact"),
+        pytest.param(functools.partial(check_rn_identity_mc, samples=1000, seed=0), id="mc"),
+    ])
+    def test_refused_with_the_typed_error(self, check):
+        ctx = PadicContext(2)
+        g = AffineElement.from_parts(ctx, [(Ball(ctx, 0, ()), Fraction(1, 2**1100))], [])
+        f = StepFunction.make(ctx, REAL, [(Ball(ctx, 0, ()), 1)], 0)
+        with pytest.raises(PadicAffineError, match="overflows a float"):
+            check(g, f)
 
 
 class TestTailMustVanish:

@@ -1,9 +1,10 @@
 """The union walk under the set algebra, and the descriptor checks beside it.
 
 padic.split_union is checked cell by cell against a relation scan over its
-entries, and against ref_split_union, the walk that found each ball's root
-through a BallIndex, for the same cells in the same order, cut cells being
-the entries' own Ball objects. ClopenSet.intersect/subtract and
+entries, against indexed_split_union, the walk that found each ball's root
+through a BallIndex, and against ref_split_union, the walk that kept roots
+and trees by (radius, key) slot, for the same cells in the same order, cut
+cells being the entries' own Ball objects. ClopenSet.intersect/subtract and
 StepFunction.integrate, which now run on it or on refine_window, are checked
 against the relation-scan references of test_ball_index, with the balls of
 one operand nested in, equal to or disjoint from the other's.
@@ -151,7 +152,7 @@ def test_split_union_of_nothing():
 # -- the walk against the indexed walk it replaced -----------------------------------
 
 
-def ref_split_union(entries, values):
+def indexed_split_union(entries, values):
     """The union walk keyed by Ball: each distinct ball's root is the last
     entry of BallIndex.around, and each root runs one ref_descend."""
     at = {}
@@ -171,6 +172,40 @@ def ref_split_union(entries, values):
             ref_descend(root, tuple(top), cuts, cells)
         else:
             cells.append((root, tuple(top)))
+    return cells
+
+
+def ref_split_union(entries, values):
+    """The union walk keyed by slot: the roots and the trees sit in dicts
+    keyed by (radius_exp, key), each root found largest radius first with
+    one truncate_key per root radius."""
+    at = {}
+    for entry in entries:
+        at.setdefault((entry[0].radius_exp, entry[0].key), []).append(entry)
+    roots, radii = {}, {}
+    for slot in sorted(at, reverse=True):
+        ball = at[slot][0][0]
+        for big in reversed(radii):
+            root = roots.get((big, ball.truncate_key(big)))
+            if root is not None:
+                break
+        else:
+            root = slot
+            radii[slot[0]] = None
+        roots[slot] = root
+    trees = {}
+    for slot in at:
+        trees.setdefault(roots[slot], []).append(slot)
+    cells = []
+    for root, members in trees.items():
+        top = list(values)
+        for _, slot, value in at[root]:
+            top[slot] = value
+        cuts = [entry for m in members if m is not root for entry in at[m]]
+        if cuts:
+            padic._descend(at[root][0][0], tuple(top), cuts, cells)
+        else:
+            cells.append((at[root][0][0], tuple(top)))
     return cells
 
 
@@ -200,11 +235,11 @@ def ref_descend(ball, values, cuts, out):
             out.append((child, tuple(vals)))
 
 
-def assert_same_walk(entries, values):
-    """split_union and ref_split_union give the same cells with the same
-    values in the same order, and the same Ball object wherever the
-    reference hands back one of the entries' balls."""
-    got, want = split_union(entries, values), ref_split_union(entries, values)
+def assert_same_walk(entries, values, reference=indexed_split_union):
+    """split_union and the reference walk give the same cells with the same
+    values in the same order, and the same Ball object wherever either
+    hands back one of the entries' balls."""
+    got, want = split_union(entries, values), reference(entries, values)
     given_balls = {id(entry[0]) for entry in entries}
     assert [c for c, _ in got] == [c for c, _ in want]
     assert [v for _, v in got] == [v for _, v in want]
@@ -236,6 +271,31 @@ def test_split_union_matches_the_indexed_walk(p, seed, n, slots):
     assert_same_walk(entries, tuple(range(-slots, 0)))
 
 
+@given(**cases, slots=st.integers(1, 4), nested_first=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_split_union_matches_the_slot_keyed_walk(p, seed, n, slots, nested_first):
+    """Roots and trees kept by group number give the slot-keyed walk's
+    cells, order, values and Ball objects: multi-slot entries that nest and
+    repeat, the same object and equal copies, and, with nested_first, a
+    ball inside a root listed before every entry of that root."""
+    ctx = PadicContext(p)
+    rng = random.Random(seed)
+    base = disjoint_balls(ctx, rng, n, splits=n)
+    balls = base + related_balls(ctx, rng, base, n)
+    balls += rng.sample(balls, rng.randint(0, len(balls)))
+    balls += [copy_of(b) for b in rng.sample(balls, rng.randint(0, len(balls)))]
+
+    def entry(ball):
+        return ball, rng.randrange(slots), Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    entries = [entry(b) for b in balls]
+    rng.shuffle(entries)
+    if nested_first:
+        root = rng.choice(base)
+        entries.insert(0, entry(descendant(root, rng, rng.randint(1, 3))))
+    assert_same_walk(entries, tuple(range(-slots, 0)), ref_split_union)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_split_union_order_and_identity(p):
     """Trees in the order their first member appears; a cut cell given by
@@ -258,6 +318,7 @@ def test_split_union_order_and_identity(p):
         (far, 0, 8),
     ]
     cells = assert_same_walk(entries, (0, 0))
+    assert_same_walk(entries, (0, 0), ref_split_union)
     assert len(cells) == 3 * p
     assert all(values[0] == 8 for _, values in cells[:p])
     assert cells[p - 1] == (far_inner, (8, 7)) and cells[p - 1][0] is far_inner
@@ -280,7 +341,7 @@ def test_prepared_draw_matches_the_indexed_walk(p, monkeypatch):
 
     def reference(entries, values):
         walks.append(1)
-        return ref_split_union(entries, values)
+        return indexed_split_union(entries, values)
 
     monkeypatch.setattr(padic, "split_union", reference)
     ref = PreparedDraw(mu, window)
