@@ -24,15 +24,13 @@ from .padic import Ball, ClopenSet, Padic, PadicContext, ball_key, first_overlap
 from .poisson import EQ, GE, LE, CountEvent, CylinderFunction, Exponential, Polynomial
 from .stepfn import PADIC, REAL, StepFunction
 
-# whitespace matches no group and is skipped; any other character is `bad`
+_KINDS = {"int": r"-?\d+", "name": r"[A-Za-z_]\w*", "op": r"<=|>=|[{}();:,|<>=&^*/]"}
+# the token texts, in one findall: whitespace and any other character match
+# nothing and are skipped
+_WORD_RE = re.compile("|".join(_KINDS.values()))
+# the same alternatives as named groups; any other non-space character is `bad`
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<int>-?\d+)
-  | (?P<name>[A-Za-z_]\w*)
-  | (?P<op><=|>=|[{}();:,|<>=&^*/])
-  | (?P<bad>\S)
-    """,
-    re.VERBOSE,
+    "|".join(f"(?P<{kind}>{alt})" for kind, alt in _KINDS.items()) + r"|(?P<bad>\S)"
 )
 
 
@@ -42,7 +40,8 @@ def _position(text: str, off: int) -> tuple:
 
 
 def _tokenize(text: str) -> list:
-    """(kind, text, offset) tuples from one regex pass, ending in eof."""
+    """(kind, text, offset) tuples from one regex pass, ending in eof; the
+    first `bad` character raises. Called only for an error's offset."""
     tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(text)]
     for kind, chunk, off in tokens:
         if kind == "bad":
@@ -51,48 +50,59 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+def _is_int(tok: str) -> bool:
+    # an int token is an optional '-' and decimal digits; no other token is
+    return tok.lstrip("-").isdecimal()
+
+
 class Parser:
     """Recursive-descent parser over the literal grammar for a fixed prime.
-    A token is a (kind, text, offset) tuple."""
+
+    The tokens are the texts of one `_WORD_RE.findall` pass, ending in "" for
+    the end of input. They cover every non-space character exactly when
+    their lengths add up to the text's non-space length; otherwise
+    `_tokenize` raises at the first character they skip. A token's offset is
+    looked up, through `_tokenize`, only when an error is raised."""
 
     def __init__(self, text: str, ctx: PadicContext):
+        tokens = _WORD_RE.findall(text)
+        if sum(map(len, tokens)) != sum(map(len, text.split())):
+            _tokenize(text)
+        tokens.append("")
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokens
         self.ctx = ctx
         self.pos = 0
 
     # -- token plumbing -----------------------------------------------------
 
-    def _peek(self) -> tuple:
-        return self.tokens[self.pos]
-
-    def _next(self) -> tuple:
+    def _next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def _expect(self, text: str) -> tuple:
+    def _expect(self, text: str) -> None:
         tok = self._next()
-        if tok[1] != text:
-            found = tok[1] or "end of input"
-            raise self._error(f"expected {text!r}, found {found!r}", tok)
-        return tok
+        if tok != text:
+            found = tok or "end of input"
+            raise self._error(f"expected {text!r}, found {found!r}", self.pos - 1)
 
-    def _error(self, message: str, tok=None) -> ParseError:
-        """The error at `tok`, by default the next token."""
-        return ParseError(message, *_position(self.text, (tok or self._peek())[2]))
+    def _error(self, message: str, at=None) -> ParseError:
+        """The error at token `at`, by default the next token."""
+        off = _tokenize(self.text)[self.pos if at is None else at][2]
+        return ParseError(message, *_position(self.text, off))
 
-    def _made(self, tok, make, *args):
-        """make(*args), its refusal raised as the error at `tok`."""
+    def _made(self, at: int, make, *args):
+        """make(*args), its refusal raised as the error at token `at`."""
         try:
             return make(*args)
         except Exception as exc:
-            raise self._error(str(exc), tok) from exc
+            raise self._error(str(exc), at) from exc
 
     def finish(self, value):
-        tok = self._peek()
-        if tok[0] != "eof":
-            raise self._error(f"trailing input starting at {tok[1]!r}")
+        tok = self.tokens[self.pos]
+        if tok:
+            raise self._error(f"trailing input starting at {tok!r}")
         return value
 
     # -- grammar ------------------------------------------------------------
@@ -101,24 +111,24 @@ class Parser:
         """(numerator, denominator) of a rational literal; the denominator
         is positive and 1 when omitted."""
         tok = self._next()
-        if tok[0] != "int":
-            raise self._error("expected a rational literal", tok)
-        if self._peek()[1] != "/":
-            return int(tok[1]), 1
+        if not _is_int(tok):
+            raise self._error("expected a rational literal", self.pos - 1)
+        if self.tokens[self.pos] != "/":
+            return int(tok), 1
         self.pos += 1
         den = self._next()
-        if den[0] != "int" or int(den[1]) <= 0:
-            raise self._error("expected a positive denominator", den)
-        return int(tok[1]), int(den[1])
+        if not _is_int(den) or int(den) <= 0:
+            raise self._error("expected a positive denominator", self.pos - 1)
+        return int(tok), int(den)
 
     def rational(self) -> Fraction:
         return Fraction(*self._ratio())
 
     def integer(self) -> int:
         tok = self._next()
-        if tok[0] != "int":
-            raise self._error("expected an integer", tok)
-        return int(tok[1])
+        if not _is_int(tok):
+            raise self._error("expected an integer", self.pos - 1)
+        return int(tok)
 
     def ball(self) -> Ball:
         # the key comes from the literal's integers: no Fraction, no Padic
@@ -130,17 +140,44 @@ class Parser:
         self._expect(")")
         return Ball(self.ctx, radius, ball_key(self.ctx.p, n, d, radius))
 
+    def _part(self) -> tuple:
+        """(ball, value) of a step function's part `B(n[/d];k): v[/w]`, read
+        by indexing the tokens. A part of any other shape, with a
+        denominator that is not positive, or with an integer that int()
+        refuses, is read again token by token, which raises its error."""
+        t, i = self.tokens, self.pos
+        try:
+            if t[i] == "B" and t[i + 1] == "(":
+                n, d = int(t[i + 2]), 1
+                if t[i + 3] == "/":
+                    d = int(t[i + 4])
+                    i += 2
+                if t[i + 3] == ";" and t[i + 5] == ")" and t[i + 6] == ":":
+                    k, v, w = int(t[i + 4]), int(t[i + 7]), 1
+                    if t[i + 8] == "/":
+                        w = int(t[i + 9])
+                        i += 2
+                    if d > 0 and w > 0:
+                        self.pos = i + 8
+                        ball = Ball(self.ctx, k, ball_key(self.ctx.p, n, d, k))
+                        return ball, Fraction(v, w)
+        except (IndexError, ValueError):
+            pass
+        b = self.ball()
+        self._expect(":")
+        return b, self.rational()
+
     def _list(self, item, sep: str) -> tuple:
         """item (sep item)*"""
         items = [item()]
-        while self._peek()[1] == sep:
+        while self.tokens[self.pos] == sep:
             self.pos += 1
             items.append(item())
         return tuple(items)
 
     def clopen(self) -> ClopenSet:
         self._expect("{")
-        balls = () if self._peek()[1] == "}" else self._list(self.ball, ",")
+        balls = () if self.tokens[self.pos] == "}" else self._list(self.ball, ",")
         self._expect("}")
         # ClopenSet.of accepts nested balls; a literal may not hold any
         clash = first_overlap(balls)
@@ -150,49 +187,49 @@ class Parser:
         return ClopenSet.of(self.ctx, balls)
 
     def step(self, kind: str = REAL) -> StepFunction:
-        open_tok = self._expect("{")
+        start = self.pos
+        self._expect("{")
+        tokens = self.tokens
         parts = []
-        while self._peek()[1] != "|":
+        while tokens[self.pos] != "|":
             if parts:
                 self._expect(",")
-            b = self.ball()
-            self._expect(":")
-            parts.append((b, self.rational()))
+            parts.append(self._part())
         self._expect("|")
-        tail_tok = self._next()
-        if tail_tok[1] != "tail":
-            raise self._error("expected 'tail'", tail_tok)
+        if self._next() != "tail":
+            raise self._error("expected 'tail'", self.pos - 1)
         tail = self.rational()
         self._expect("}")
-        return self._made(open_tok, StepFunction.make, self.ctx, kind, parts, tail)
+        return self._made(start, StepFunction.make, self.ctx, kind, parts, tail)
 
     def affine(self) -> AffineElement:
-        head = self._expect("aff")
+        start = self.pos
+        self._expect("aff")
         coefficients = []
         for sep, name in (("(", "a"), (",", "b")):
             self._expect(sep)
-            tok = self._next()
-            if tok[1] != name:
-                raise self._error(f"expected '{name} ='", tok)
+            if self._next() != name:
+                raise self._error(f"expected '{name} ='", self.pos - 1)
             self._expect("=")
             coefficients.append(self.step(PADIC))
         self._expect(")")
-        return self._made(head, AffineElement, *coefficients)
+        return self._made(start, AffineElement, *coefficients)
 
     def cylinder(self) -> CylinderFunction:
+        start = self.pos
         tok = self._next()
-        if tok[1] == "exp":
+        if tok == "exp":
             make, body = Exponential, self._bracketed
-        elif tok[1] == "poly":
+        elif tok == "poly":
             make, body = Polynomial, lambda: self._list(self._poly_factor, "*")
-        elif tok[1] == "event":
+        elif tok == "event":
             make, body = CountEvent, lambda: self._list(self._condition, "&")
         else:
-            raise self._error("expected exp, poly or event", tok)
+            raise self._error("expected exp, poly or event", start)
         self._expect("{")
         arg = body()
         self._expect("}")
-        return self._made(tok, make, arg)
+        return self._made(start, make, arg)
 
     def _bracketed(self) -> StepFunction:
         """<f> for a real step function f."""
@@ -212,34 +249,34 @@ class Parser:
     def _condition(self):
         self._expect("N")
         self._expect("(")
-        if self._peek()[1] == "B":
+        if self.tokens[self.pos] == "B":
             sets = ClopenSet.of(self.ctx, [self.ball()])
         else:
             sets = self.clopen()
         self._expect(")")
-        op_tok = self._next()
-        if op_tok[1] not in (EQ, LE, GE):
-            raise self._error("expected =, <= or >=", op_tok)
+        op = self._next()
+        if op not in (EQ, LE, GE):
+            raise self._error("expected =, <= or >=", self.pos - 1)
         count = self.integer()
         if count < 0:
             raise self._error("counts are nonnegative")
-        return (sets, op_tok[1], count)
+        return (sets, op, count)
 
     def value(self):
         """Dispatch on the leading token, reading a step function as real;
         called by parse_value."""
-        tok = self._peek()
-        if tok[1] == "aff":
+        tok = self.tokens[self.pos]
+        if tok == "aff":
             return self.affine()
-        if tok[1] in ("exp", "poly", "event"):
+        if tok in ("exp", "poly", "event"):
             return self.cylinder()
-        if tok[1] == "B":
+        if tok == "B":
             return self.ball()
-        if tok[1] == "{":
+        if tok == "{":
             return self.step() if self._opens_step() else self.clopen()
-        if tok[0] == "int":
+        if _is_int(tok):
             return Padic(self.ctx, self.rational())
-        raise self._error(f"cannot parse a value starting at {tok[1]!r}")
+        raise self._error(f"cannot parse a value starting at {tok!r}")
 
     def _opens_step(self) -> bool:
         """Whether the '{' at the cursor opens a step function: '|' or a
@@ -248,10 +285,11 @@ class Parser:
         start = self.pos
         self.pos += 1
         try:
-            if self._peek()[1] == "|":
-                return True
+            tok = self.tokens[self.pos]
+            if tok != "B":  # decided without a ParseError, so no offset lookup
+                return tok == "|"
             self.ball()
-            return self._peek()[1] == ":"
+            return self.tokens[self.pos] == ":"
         except ParseError:
             return False
         finally:
@@ -286,7 +324,8 @@ def parse_value(text: str, ctx: PadicContext):
 
 
 def format_rational(x) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -219,8 +219,13 @@ class Ball:
         return f"Ball({self.center.frac!r}; {self.radius_exp}, p={self.ctx.p})"
 
     def __str__(self):
-        # the literal grammar's B(c;k)
-        return f"B({self.center.frac};{self.radius_exp})"
+        # the literal grammar's B(c;k), c = cn/cd from _frame(), in lowest
+        # terms already: cd is p^e, and when e > 0 cn's lowest digit is the
+        # key's first, nonzero
+        cn, cd, _, _ = self._frame()
+        if cd == 1:
+            return f"B({cn};{self.radius_exp})"
+        return f"B({cn}/{cd};{self.radius_exp})"
 
     def sort_key(self):
         return (self.radius_exp, self.key)
@@ -366,7 +371,14 @@ def _descend(ball, values, cuts, out):
 
     A loop, so that a nest of any depth fits. A stack holds the children
     still to visit, pushed in reverse digit order: a finished cell as its
-    (ball, values) pair, a ball still to split as (ball, values, cuts)."""
+    (ball, values) pair, a ball still to split as (ball, values, cuts).
+
+    A cut no smaller than the ball would be split forever, so it is refused
+    up front; each level's deeper cuts are then smaller than its children."""
+    k = ball.radius_exp
+    for cut in cuts:
+        if cut[0].radius_exp >= k:
+            raise PadicAffineError(f"cut {cut[0]} is not strictly inside {ball}")
     ctx = ball.ctx
     digits = range(ctx.p - 1, -1, -1)
     todo = [(ball, values, cuts)]

@@ -41,13 +41,17 @@ def random_disjoint_balls(
     ctx: PadicContext, rng: random.Random, count: int, root_exp: int = 1,
     splits: int = 4,
 ) -> list:
-    """Pairwise disjoint balls obtained by refining a zero-centered ball."""
-    leaves = [Ball(ctx, root_exp, ())]
+    """Pairwise disjoint balls obtained by refining a zero-centered ball.
+    The leaves are refined as (radius_exp, key) slots, children in digit
+    order as Ball.children lists them; only the returned ones become Balls."""
+    digits = range(1, ctx.p)
+    leaves = [(root_exp, ())]
     for _ in range(splits):
-        target = leaves.pop(rng.randrange(len(leaves)))
-        leaves.extend(target.children())
+        k, key = leaves.pop(rng.randrange(len(leaves)))
+        leaves.append((k - 1, key))
+        leaves.extend((k - 1, key + ((-k, r),)) for r in digits)
     rng.shuffle(leaves)
-    return leaves[: min(count, len(leaves))]
+    return [Ball(ctx, k, key) for k, key in leaves[:count]]
 
 
 def random_clopen(ctx: PadicContext, rng: random.Random) -> ClopenSet:

@@ -3,9 +3,11 @@ literal path does.
 
 `grammar._tokenize` makes one `finditer` pass and returns (kind, text,
 offset) tuples; a ParseError's line and column come from the offset only
-when the error is raised. `ref_tokenize` is the scanner it replaced: one
-`match` per token, with lines and columns counted as it went. Both must give
-the same tokens at the same positions and the same error at the same place.
+when the error is raised. The parser itself reads the token texts of one
+`findall` and calls `_tokenize` only for an error. `ref_tokenize` is the
+scanner it replaced: one `match` per token, with lines and columns counted
+as it went. Both must give the same tokens at the same positions and the
+same error at the same place.
 """
 
 import random
@@ -202,14 +204,21 @@ def wide_literal(ctx, n, seed=0):
     return grammar.format_affine(AffineElement.from_parts(ctx, a_parts, b_parts))
 
 
-def test_wide_literal_is_one_finditer_pass(monkeypatch):
+def test_wide_literal_is_one_findall_pass(monkeypatch):
+    """A valid literal is read from one findall of the token texts; the
+    (kind, text, offset) tokenizer runs only for an error."""
     ctx = PadicContext(3)
     text = wide_literal(ctx, 128)
     assert text.count("B(") > 200
-    counting = CountingPattern(grammar._TOKEN_RE)
-    monkeypatch.setattr(grammar, "_TOKEN_RE", counting)
+    counting = CountingPattern(grammar._WORD_RE)
+    monkeypatch.setattr(grammar, "_WORD_RE", counting)
+
+    def refused(text):
+        raise AssertionError("_tokenize called on a valid literal")
+
+    monkeypatch.setattr(grammar, "_tokenize", refused)
     grammar.parse_affine(text, ctx)
-    assert counting.calls == {"finditer": 1}
+    assert counting.calls == {"findall": 1}
 
 
 def test_parsing_builds_no_padic(monkeypatch):

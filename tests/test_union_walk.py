@@ -328,6 +328,35 @@ def test_split_union_order_and_identity(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
+def test_descend_refuses_a_cut_not_strictly_inside(p, monkeypatch):
+    """A cut equal to its ball, or larger, raises before any cell is made;
+    unguarded, a cut equal to the ball is split one level further forever.
+    Ball is patched to stop such a descent after 100 cells."""
+    ctx = PadicContext(p)
+    ball = Ball.from_center(ctx.rational(1, p), -1)
+    inside = ball.children()[-1]
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        if len(made) > 100:
+            raise RuntimeError("the descent does not end")
+        return Ball(*args)
+
+    monkeypatch.setattr(padic, "Ball", counted)
+    for cut in (ball, copy_of(ball), Ball.from_center(ctx.rational(1, p), 0)):
+        out = []
+        with pytest.raises(PadicAffineError, match="not strictly inside"):
+            padic._descend(ball, (0,), [(inside, 0, 1), (cut, 0, 2)], out)
+        assert out == [] and made == []
+    monkeypatch.undo()
+    # cuts strictly inside, however deep, walk as before
+    entries = [(ball, 0, 1), (inside, 0, 2), (descendant(inside, random.Random(p), 3), 0, 3)]
+    cells = assert_same_walk(entries, (0,))
+    assert len(cells) == 4 * (p - 1) + 1
+
+
+@pytest.mark.parametrize("p", PRIMES)
 def test_prepared_draw_matches_the_indexed_walk(p, monkeypatch):
     """The atom order drives the random stream: a 64-part pushforward
     density over its hull gives the same balls and weights either way."""
