@@ -33,6 +33,10 @@ _TOKEN_RE = re.compile(
     "|".join(f"(?P<{kind}>{alt})" for kind, alt in _KINDS.items()) + r"|(?P<bad>\S)"
 )
 
+MAX_INT_DIGITS = 4300
+"""Most digits an integer token may have: CPython's default cap on int()
+of a string from 3.11 on, refused as a ParseError on every version."""
+
 
 def _position(text: str, off: int) -> tuple:
     """(line, column) of offset `off`, counted only when an error is raised."""
@@ -61,7 +65,9 @@ class Parser:
     The tokens are the texts of one `_WORD_RE.findall` pass, ending in "" for
     the end of input. They cover every non-space character exactly when
     their lengths add up to the text's non-space length; otherwise
-    `_tokenize` raises at the first character they skip. A token's offset is
+    `_tokenize` raises at the first character they skip. No token may be
+    an integer of more than MAX_INT_DIGITS digits; only a token longer than
+    that sends the list through a search for one. A token's offset is
     looked up, through `_tokenize`, only when an error is raised."""
 
     def __init__(self, text: str, ctx: PadicContext):
@@ -73,6 +79,14 @@ class Parser:
         self.tokens = tokens
         self.ctx = ctx
         self.pos = 0
+        if max(map(len, tokens)) > MAX_INT_DIGITS:
+            for at, tok in enumerate(tokens):
+                digits = len(tok.lstrip("-"))
+                if digits > MAX_INT_DIGITS and _is_int(tok):
+                    raise self._error(
+                        f"an integer of {digits} digits exceeds the cap of "
+                        f"{MAX_INT_DIGITS}", at,
+                    )
 
     # -- token plumbing -----------------------------------------------------
 

@@ -271,6 +271,28 @@ def _cdf_table(lam: float) -> list:
     return table
 
 
+def _byte_counts(table: list) -> list:
+    """For each top byte b of a uniform u, so that b/256 <= u < (b+1)/256,
+    the count bisect_left(table, u) that every such u shares, mapped to
+    _TABLE_END + 1 past the table's end as PoissonVariate.draw maps it; or
+    -1 where an entry of the table lies in the byte's interval, so the
+    count depends on the bits below the byte. An entry of 1.0 lies in no
+    byte's interval, since u < 1.
+
+    Only the bytes that hold an entry are visited: the bytes between two
+    of them share one count."""
+    size = len(table)
+    counts = []
+    k = 0  # the entries below the first byte not yet decided
+    while k < size and table[k] < 1.0:
+        b = int(table[k] * 256)  # exact: 256·c only moves the exponent
+        counts += [k] * (b - len(counts))
+        counts.append(-1)
+        k = bisect_left(table, (b + 1) / 256)
+    counts += [k if k < size else _TABLE_END + 1] * (256 - len(counts))
+    return counts
+
+
 class PoissonVariate:
     """Poisson(rate) counts by inversion: the smallest k with u <= P(N <= k),
     found by bisection over a CDF table built once per rate.
@@ -565,23 +587,34 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
     2-byte lanes, and adding 256 - T to each lane carries into its high byte
     exactly where the top byte is >= T, for all slots in one integer sum; an
     unread atom's lanes add 0, so they never carry. find walks the carried
-    lanes, and only their uniforms are bisected, each formed in float
-    exactly as random() forms it, in the rate's one CDF table, the
-    PoissonVariate.table that draw reads. The work per draw is about
-    read atoms/256 plus the points drawn in read atoms, beside C passes over
-    2 bytes per slot.
+    lanes, and each takes its count from its top byte b in the _byte_counts
+    of its rate: every uniform in [b/256, (b+1)/256) has the same count
+    unless an entry of the CDF table lies in that interval. Only there is
+    the uniform formed in float, exactly as random() forms it, and bisected
+    in the rate's one CDF table, the PoissonVariate.table that draw reads.
+    Atoms of equal float rates share one PoissonVariate and one byte list.
+    The work per draw is about read atoms/256 plus the points drawn in read
+    atoms, beside C passes over 2 bytes per slot; only the lanes whose byte
+    holds a table entry are bisected.
     """
     if n < 1:
         raise PadicAffineError("Monte Carlo runs need at least one sample")
     reads = getattr(eval_counts, "reads", None)
-    plan = []  # per slot: (atom index, CDF table)
+    plan = []  # per slot: (atom index, CDF table, its _byte_counts)
     lifts = []  # per slot: 256 - T, or 0 for an atom the evaluator does not read
+    variates = {}  # one PoissonVariate per distinct rate
+    byte_tables = {}  # rate -> _byte_counts of its table, for read atoms' rates
     for i, (_, rate, _) in enumerate(atoms):
-        variate = PoissonVariate(rate)
+        if rate not in variates:
+            variates[rate] = PoissonVariate(rate)
+        variate = variates[rate]
+        read = reads is None or i in reads
+        if read and rate not in byte_tables:
+            byte_tables[rate] = _byte_counts(variate.table)
         # a split rate has no zero shortcut: T = 0 marks each of its pieces
         t = int(max(variate.zero, 0.0) * 256)
-        plan += [(i, variate.table)] * variate.pieces
-        lifts += [256 - t if reads is None or i in reads else 0] * variate.pieces
+        plan += [(i, variate.table, byte_tables.get(rate))] * variate.pieces
+        lifts += [256 - t if read else 0] * variate.pieces
     slots = len(plan)
     lift = struct.pack(f"<{slots}H", *lifts)  # one 2-byte lane per slot
     width = 8 * slots  # random bytes per draw
@@ -606,7 +639,8 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
             tops, bias = lanes[block]
             nbytes = width * block
             raw = rng.getrandbits(8 * nbytes).to_bytes(nbytes, "little")
-            tops[::2] = raw[3::8]
+            top = raw[3::8]
+            tops[::2] = top
             marked = (int.from_bytes(tops, "little") + bias).to_bytes(
                 2 * slots * block, "little"
             )[1::2]
@@ -614,13 +648,15 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
             q = marked.find(1)  # q = row · slots + slot
             while q != -1:
                 r, slot = divmod(q, slots)
-                i, table = plan[slot]
-                w0, w1 = words(raw, 8 * q)
-                u = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * _STEP
-                count = bisect_left(table, u)
-                if count:
+                i, table, by_byte = plan[slot]
+                count = by_byte[top[q]]
+                if count < 0:
+                    w0, w1 = words(raw, 8 * q)
+                    u = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * _STEP
+                    count = bisect_left(table, u)
                     if count == len(table):
                         count = _TABLE_END + 1
+                if count:
                     pairs = nonzero[r]
                     if pairs and pairs[-1][0] == i:  # pieces of a split rate
                         count += pairs.pop()[1]

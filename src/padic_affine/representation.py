@@ -198,10 +198,15 @@ def _replica(name, target, sampler, samples, seed, audit=False) -> CheckReport:
     """A Monte Carlo replica of an identity against its target, which the
     caller computes first so that a target past a float's range is refused
     before anything is sampled. Then the sample floor, then sampler(), which
-    gives (atoms, evaluator), then mc_run and mc_report."""
+    gives (atoms, evaluator), then mc_run and mc_report. A draw whose value
+    is past a float's range, where a float power or exponential in the
+    evaluator raises OverflowError, is refused as a PadicAffineError."""
     _require_samples(name, samples)
     atoms, ev = sampler()
-    mean, se = mc_run(atoms, ev, samples, seed)
+    try:
+        mean, se = mc_run(atoms, ev, samples, seed)
+    except OverflowError:
+        raise PadicAffineError(f"{name}: a sampled value overflows a float") from None
     return mc_report(name, mean, se, target, seed, samples, audit)
 
 

@@ -278,6 +278,16 @@ class TestErrorsAndConfig:
         code, _, err = run(capsys, "pushforward", "--g", "@/does/not/exist")
         assert code == 2
 
+    def test_rn_mc_overflow_exit_2(self, capsys):
+        # rho^c of the importance weight overflows a float in some draw
+        g = "aff(a = {B(38;7): 9 | tail 1}, b = {B(38;7): -685019/2 | tail 0})"
+        code, out, err = run(
+            capsys, "--p", "3", "rn", "--g", g, "--f", "{B(13;-13): -5 | tail 0}", "--mc"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: rn-identity-mc: a sampled value overflows a float\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tolerance_exit_2(self, capsys, value):
         code, out, err = run(capsys, "--seed", "42", "--tolerance", value, "verify-all")
@@ -322,6 +332,8 @@ class TestProcessBoundary:
     @pytest.mark.parametrize("argv", [
         ["--p", "3", "pushforward", "--g", "aff(a = {B(0;0): 0 | tail 1}, b = {| tail 0})"],
         ["--p", "4", "verify-all"],
+        ["--p", "3", "pushforward", "--g", "aff(a = {B(%s;0): 3 | tail 1}, b = {| tail 0})"
+         % ("7" * 5000)],
     ])
     def test_errors_are_one_line_on_stderr(self, argv):
         done = self.spawn(*argv)

@@ -189,6 +189,30 @@ class TestErrors:
         assert err.value.message == message
         assert (err.value.line, err.value.column) == (1, 1)
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("{B(%s;0): 1 | tail 0}", 4),  # a center
+            ("{B(0;0): 1/3,\n B(1;0): -%s/7 | tail 0}", 10),  # a value, line 2
+        ],
+    )
+    def test_integer_past_the_digit_cap(self, ctx, text, column):
+        # refused at the token on every CPython version, before int() sees it
+        digits = "7" * 5000
+        with pytest.raises(ParseError) as err:
+            parse_step(text % digits, ctx)
+        assert err.value.message == "an integer of 5000 digits exceeds the cap of 4300"
+        assert (err.value.line, err.value.column) == (text.count("\n") + 1, column)
+
+    def test_integers_at_the_digit_cap_parse(self, ctx):
+        digits = "1" * grammar.MAX_INT_DIGITS
+        f = parse_step(f"{{B(0;0): -{digits}/{digits} | tail 0}}", ctx)
+        assert f.parts[0][1] == -1
+        # a long name is no integer: the grammar's own error, not the cap's
+        with pytest.raises(ParseError) as err:
+            parse_step("{B(0;0): 1 | %s 0}" % ("t" * 5000), ctx)
+        assert err.value.message == "expected 'tail'"
+
     def test_unexpected_character(self, ctx):
         with pytest.raises(ParseError):
             parse_value("B(0;0) @", ctx)

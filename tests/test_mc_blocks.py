@@ -1,6 +1,7 @@
 """Monte Carlo by blocks: mc_run reads each chunk's uniforms with getrandbits
-and bisects only the uniforms a top byte cannot settle as a zero count, in
-the atoms the evaluator reads.
+and, in the atoms the evaluator reads, counts each uniform from its top
+byte, bisecting only where an entry of the rate's CDF table lies inside the
+byte's interval.
 
 The per-atom, per-draw loop it replaces is kept here as ref_mc_run, with
 the evaluators over every atom's count; every estimate must equal it bit
@@ -13,6 +14,7 @@ value bit-identical.
 import math
 import random
 import struct
+from bisect import bisect_left
 from fractions import Fraction
 from unittest import mock
 
@@ -35,6 +37,7 @@ from padic_affine.poisson import (
     Exponential,
     PoissonVariate,
     Polynomial,
+    _byte_counts,
     mc_atoms,
     mc_run,
     product_evaluator,
@@ -465,6 +468,78 @@ def test_split_rate_matches_draw(rate):
     xs = [rng.choice(edges) for _ in range(variate.pieces * 40)]
     us = iter([x / 2**53 for x in xs])
     assert block_counts(rate, xs) == [variate.draw(us.__next__) for _ in range(40)]
+
+
+# -- the count of a top byte ---------------------------------------------------------
+
+
+def mapped_bisect(table, u):
+    """The count PoissonVariate.draw gives one piece for the uniform u."""
+    k = bisect_left(table, u)
+    return k if k < len(table) else _TABLE_END + 1
+
+
+@pytest.mark.parametrize("rate", [1e-9, 3.0**-4, 1.0, 5.0, 81.0, 699.9, 700.0, 2000.0])
+def test_byte_counts_match_bisection(rate):
+    """A byte's count is bisect_left's at its lowest uniform, at the largest
+    one below the next byte and at interior ones; -1 marks exactly the bytes
+    whose interval holds a table entry."""
+    table = PoissonVariate(rate).table
+    counts = _byte_counts(table)
+    assert len(counts) == 256
+    rng = random.Random(f"bytes:{rate}")
+    for b, count in enumerate(counts):
+        inside = [c for c in table if int(c * 256) == b]
+        assert (count == -1) == bool(inside), b
+        if count == -1:
+            continue
+        xs = [b << 45, ((b + 1) << 45) - 1]
+        xs += [(b << 45) + rng.randrange(1 << 45) for _ in range(3)]
+        assert {mapped_bisect(table, x / 2**53) for x in xs} == {count}, b
+
+
+def test_byte_counts_of_a_synthetic_table():
+    """An entry exactly at b/256 marks byte b; an entry of 1.0 marks no byte,
+    and the bytes below it count it out rather than past the table end."""
+    table = [0.25, 0.3, 0.30001, 0.9, 1.0]  # bytes 64, 76, 76, 230 and none
+    want = [0] * 64 + [-1] + [1] * 11 + [-1] + [3] * 153 + [-1] + [4] * 25
+    assert _byte_counts(table) == want
+    assert _byte_counts([0.5]) == [0] * 128 + [-1] + [_TABLE_END + 1] * 127
+
+
+@pytest.mark.parametrize("rate, share", [(1.0, 1 / 20), (2000.0, 1 / 2)])
+def test_bisects_only_lanes_whose_byte_holds_an_entry(monkeypatch, rate, share):
+    """One atom over 10^4 draws, of rate 1 or of a split rate, whose pieces
+    have no zero shortcut: beside the bisections that build its byte counts,
+    bisect_left runs once per lane whose top byte holds a table entry, and
+    for no other lane, a small share of them all."""
+    n, seed = 10**4, 3
+    variate = PoissonVariate(rate)
+    table = variate.table
+    counts = _byte_counts(table)
+    tops = []
+    for index in range(-(-n // _CHUNK)):
+        rng = poisson._chunk_rng(seed, index)
+        lanes = min(_CHUNK, n - index * _CHUNK) * variate.pieces
+        tops += [int(rng.random() * 256) for _ in range(lanes)]
+    want = sum(counts[b] == -1 for b in tops)
+    assert 0 < want < share * len(tops)
+    calls = []
+    real = poisson.bisect_left
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(poisson, "bisect_left", counting)
+    _byte_counts(table)
+    building = len(calls)
+    calls.clear()
+    atoms = [(None, rate, ())]
+    got = mc_run(atoms, lambda pairs: float(bool(pairs)), n, seed)
+    assert len(calls) - building == want
+    monkeypatch.undo()
+    assert got == ref_mc_run(atoms, lambda counts: float(counts[0] > 0), n, seed)
 
 
 # -- the work of a draw --------------------------------------------------------------
