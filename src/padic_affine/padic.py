@@ -7,7 +7,7 @@ quantity computed here is an exact integer or Fraction, never a float.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .errors import ContextMismatch, PadicAffineError
@@ -227,9 +227,6 @@ class Ball:
             return f"B({cn};{self.radius_exp})"
         return f"B({cn}/{cd};{self.radius_exp})"
 
-    def sort_key(self):
-        return (self.radius_exp, self.key)
-
     def contains(self, x: Padic) -> bool:
         # x in B(c; k) iff the reduced denominator of p^k (x - c) is prime to p
         p = self.ctx.p
@@ -349,7 +346,27 @@ class BallIndex:
 
 def first_overlap(balls: list):
     """(i, j) with i < j for the first overlapping pair of the list, in
-    lexicographic order, or None when the balls are pairwise disjoint."""
+    lexicographic order, or None when the balls are pairwise disjoint.
+
+    A disjoint list costs one set of (radius_exp, key) slots and, per ball,
+    a walk up the radii above its own that stops at the first slot hit. A
+    repeated slot or a hit is an overlap; only then is the pair searched."""
+    at = {(b.radius_exp, b.key) for b in balls}
+    if len(at) < len(balls):
+        return _first_pair(balls)
+    radii = sorted({r for r, _ in at})
+    for b in balls:
+        key, n = b.key, len(b.key)
+        for r in radii[bisect_right(radii, b.radius_exp):]:
+            while n and key[n - 1][0] >= -r:
+                n -= 1
+            if (r, key[:n]) in at:
+                return _first_pair(balls)
+    return None
+
+
+def _first_pair(balls: list):
+    # first_overlap's ordered search: the least (i, j) over every ball's slots
     at = {}
     for i, b in enumerate(balls):
         at.setdefault((b.radius_exp, b.key), []).append(i)
@@ -499,32 +516,44 @@ def union_cells(fns) -> list:
     return split_union(entries, tuple(tail for _, tail in read))
 
 
+def _part_order(part) -> tuple:
+    ball = part[0]
+    return ball.radius_exp, ball.key
+
+
 def merge_siblings(ctx: PadicContext, parts: list) -> tuple:
     """Disjoint (ball, value) pairs with every complete family of p sibling
     balls of one value merged into their parent, until none is left, sorted
     by (radius_exp, key).
 
     A merge only completes a family one level up, so one pass per radius,
-    from the smallest, reaches the same result as repeating full passes."""
+    from the smallest, reaches the same result as repeating full passes.
+    No method is called per part: a radius-r key has digits below -r only,
+    so the parent's key drops a last digit at -(r + 1). Values are compared
+    only in families of exactly p members, a shared value object at once."""
     p = ctx.p
     if len(parts) < p:  # too few to hold a family
-        return tuple(sorted(parts, key=lambda part: part[0].sort_key()))
+        return tuple(sorted(parts, key=_part_order))
     levels = {}
     for part in parts:
         levels.setdefault(part[0].radius_exp, []).append(part)
     out = []
     while levels:
         r = min(levels)
+        pos = -r - 1
         families = {}
         for part in levels.pop(r):
-            families.setdefault(part[0].truncate_key(r + 1), []).append(part)
+            key = part[0].key
+            if key and key[-1][0] == pos:
+                key = key[:-1]
+            families.setdefault(key, []).append(part)
         for key, members in families.items():
             value = members[0][1]
-            if len(members) == p and all(v == value for _, v in members):
+            if len(members) == p and all(v is value or v == value for _, v in members):
                 levels.setdefault(r + 1, []).append((Ball(ctx, r + 1, key), value))
             else:
                 out.extend(members)
-    out.sort(key=lambda part: part[0].sort_key())
+    out.sort(key=_part_order)
     return tuple(out)
 
 

@@ -561,8 +561,10 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
 
     eval_counts takes one draw's nonzero counts as (atom index, count) pairs,
     one per atom, in atom order; with no atoms every draw is the empty
-    configuration, []. The stream is pre-split into fixed-size chunks merged in
-    index order, so the estimate is bit-identical for a given (seed, n).
+    configuration, [], so eval_counts runs once, its value is added n times
+    in the same left-to-right sums and no random byte is read. The stream is
+    pre-split into fixed-size chunks merged in index order, so the estimate
+    is bit-identical for a given (seed, n).
 
     An evaluator may declare reads, the set of atom indices whose counts can
     change its value; a plain callable reads every atom. The pairs of the
@@ -625,6 +627,12 @@ def mc_run(atoms: list, eval_counts, n: int, seed: int):
     total_sq = 0.0
     done = 0
     index = 0
+    if not slots:  # every draw is the empty configuration: no random bytes
+        v = eval_counts([])
+        for _ in range(n):
+            total += v
+            total_sq += v * v
+        done = n
     while done < n:
         take = min(_CHUNK, n - done)
         rng = _chunk_rng(seed, index)

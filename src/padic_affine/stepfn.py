@@ -67,8 +67,11 @@ class StepFunction:
 
     @classmethod
     def _build(cls, ctx, kind, parts, tail) -> "StepFunction":
-        # internal path: parts already pairwise disjoint
-        live = [(b, v) for b, v in parts if v != tail]
+        """Canonical form of pairwise disjoint parts. An integral tail (0 or
+        1 on hot paths) is compared as its int: Fraction.__eq__ takes that
+        on its first branch, before its numbers.Rational check."""
+        t = tail.numerator if tail.denominator == 1 else tail
+        live = [part for part in parts if part[1] != t]
         return cls(ctx, kind, merge_siblings(ctx, live), tail)
 
     @classmethod

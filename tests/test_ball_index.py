@@ -42,6 +42,11 @@ def ref_parent(b):
     return Ball(b.ctx, k + 1, b.truncate_key(k + 1))
 
 
+def ball_order(b):
+    """The canonical order of balls: (radius_exp, digit key)."""
+    return b.radius_exp, b.key
+
+
 # -- inputs -------------------------------------------------------------------
 
 
@@ -169,7 +174,7 @@ def ref_canonical(ctx, balls):
                 changed = True
             else:
                 keep.extend(members)
-    return tuple(sorted(keep, key=Ball.sort_key))
+    return tuple(sorted(keep, key=ball_order))
 
 
 def ref_subtract(ball, holes):
@@ -209,7 +214,7 @@ def ref_padded(f, r):
 
 def by_ball(cells):
     """(ball, ...) pairs sorted by ball."""
-    return sorted(cells, key=lambda c: c[0].sort_key())
+    return sorted(cells, key=lambda c: ball_order(c[0]))
 
 
 def ref_pieces(g, r):
@@ -221,7 +226,7 @@ def ref_pieces(g, r):
                 cells.append((b1, v1, v2))
             elif rel == SECOND_INSIDE_FIRST:
                 cells.append((b2, v1, v2))
-    return sorted(cells, key=lambda c: c[0].sort_key())
+    return sorted(cells, key=lambda c: ball_order(c[0]))
 
 
 def ref_act_function(g, f):

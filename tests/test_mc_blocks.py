@@ -225,14 +225,25 @@ def test_estimates_across_chunks_and_blocks():
 
 
 def test_no_atoms_evaluates_the_empty_configuration():
-    calls = []
+    """With no atoms every draw is the empty configuration: the evaluator
+    runs once, its value is summed n times as the per-draw loop sums it (0.1
+    checks the rounding of repeated addition), and no random byte is read."""
 
-    def ev(pairs):
-        calls.append(pairs)
-        return 2.5
+    def refuse(self, k):
+        raise AssertionError("no random bytes without atoms")
 
-    assert mc_run([], ev, 1000, 3) == ref_mc_run([], lambda counts: 2.5, 1000, 3)
-    assert calls == [[]] * 1000
+    for value in (0.0, 1.0, 0.1, 2.5):
+        for n in (1, 2, 1000, 10**4):
+            calls = []
+
+            def ev(pairs):
+                calls.append(pairs)
+                return value
+
+            with mock.patch.object(random.Random, "getrandbits", refuse):
+                estimate = mc_run([], ev, n, 3)
+            assert estimate == ref_mc_run([], lambda counts: value, n, 3)
+            assert calls == [[]]
 
 
 # -- the atoms an evaluator reads ------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_ball_index import ref_parent
+from test_ball_index import ball_order, ref_parent
 
 from padic_affine.padic import Ball, BallIndex, ClopenSet, PadicContext, merge_siblings
 from padic_affine.stepfn import REAL, StepFunction
@@ -43,7 +43,7 @@ def ref_canonical_balls(ctx, balls):
             else:
                 merged.extend(members)
         keep = merged
-    keep.sort(key=Ball.sort_key)
+    keep.sort(key=ball_order)
     return tuple(keep)
 
 
@@ -51,7 +51,7 @@ def ref_canonical_parts(ctx, parts, tail):
     live = [(b, v) for b, v in parts if v != tail]
     p = ctx.p
     if len(live) < p:
-        live.sort(key=lambda bv: bv[0].sort_key())
+        live.sort(key=lambda bv: ball_order(bv[0]))
         return tuple(live)
     changed = True
     while changed:
@@ -68,7 +68,7 @@ def ref_canonical_parts(ctx, parts, tail):
             else:
                 merged.extend(members)
         live = merged
-    live.sort(key=lambda bv: bv[0].sort_key())
+    live.sort(key=lambda bv: ball_order(bv[0]))
     return tuple(live)
 
 
