@@ -65,6 +65,16 @@ class IntensityMeasure:
         support = self.density.deviation_support()
         return self.density.integrate_transform(support, "abs_dev")
 
+    def excess_mass(self) -> Fraction:
+        """Exact integral of (rho - 1) dm, 0 for every pushforward of Haar.
+        rho is 1 off the density's parts; a part B(c; k) -> v adds
+        (v - 1)·p^k, its mass read from the radius."""
+        p, total = self.ctx.p, Fraction(0)
+        for b, v in self.density.parts:
+            n, d, k = v.numerator, v.denominator, b.radius_exp
+            total += Fraction((n - d) * p ** max(k, 0), d * p ** max(-k, 0))
+        return total
+
 
 def pushforward(mu: IntensityMeasure, g: AffineElement) -> IntensityMeasure:
     """Exact step density of g*(rho·m), read on the cells of one union

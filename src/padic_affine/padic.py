@@ -169,13 +169,12 @@ class Ball:
     modular inverse, building no Fraction or Padic.
     """
 
-    __slots__ = ("ctx", "radius_exp", "key", "_center", "_ints")
+    __slots__ = ("ctx", "radius_exp", "key", "_ints")
 
     def __init__(self, ctx: PadicContext, radius_exp: int, key: tuple):
         self.ctx = ctx
         self.radius_exp = radius_exp
         self.key = key  # sorted tuple of (position, digit), digit != 0
-        self._center = None
         self._ints = None
 
     @classmethod
@@ -185,10 +184,8 @@ class Ball:
 
     @property
     def center(self) -> Padic:
-        if self._center is None:
-            cn, cd, _, _ = self._frame()
-            self._center = Padic(self.ctx, Fraction(cn, cd))
-        return self._center
+        cn, cd, _, _ = self._frame()
+        return Padic(self.ctx, Fraction(cn, cd))
 
     def _frame(self) -> tuple:
         # (cn, cd, up, down): the center is cn/cd and p^k = up/down

@@ -198,10 +198,21 @@ class TestFloatRange:
         assert err == ""
         assert out.startswith("AUDIT isometry")
 
-    def test_rn_density_past_float_range_exits_2(self, capsys):
+    def test_rn_density_past_float_range_passes(self, capsys):
+        """The exact check reads rho·m = 1 on the steep cell, never the
+        density alone, and the mass term is exactly 0."""
         code, out, err = run(
             capsys, "--p", "2", "rn", "--g", self.steep_element(),
             "--f", "{B(0;0): 1 | tail 0}",
+        )
+        assert code == 0
+        assert err == ""
+        assert out.startswith("pass  rn-identity: defect=0 ")
+
+    def test_rn_mc_density_past_float_range_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "--p", "2", "rn", "--g", self.steep_element(),
+            "--f", "{B(0;0): 1 | tail 0}", "--mc", "--samples", "1000",
         )
         assert code == 2
         assert out == ""

@@ -12,6 +12,11 @@ or "parse error: ".
 
 Sampling windows keep radius ≤ 6: B(c; 19) at p = 2 has λ = 2^19, under
 MAX_POINTS, so it is a legal input, but drawing it takes seconds.
+
+Exit 1 is judged for exact rn: its verdict is the exact mass term
+∫(ρ − 1) dm of the pushforward, which is 0 for every element, so no run
+may exit 1. rn --mc is left out of that judge: its replica can exit 1 on
+a Monte Carlo gate that does not resolve the identity (ROADMAP item 3).
 """
 
 import contextlib
@@ -24,6 +29,7 @@ import pytest
 from padic_affine import cli
 
 RUNS = 150  # per prime: 450 runs in about 2 s
+RN_RUNS = 300  # per prime: 900 exact rn runs in about 2 s
 SEED = 20
 
 
@@ -109,7 +115,7 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -118,7 +124,7 @@ def test_every_run_keeps_the_exit_code_contract(p):
     codes = set()
     for _ in range(RUNS):
         argv = command(rng, p)
-        code, err = run(argv)
+        code, _, err = run(argv)
         assert code in (0, 1, 2), argv
         if code == 2:
             lines = err.splitlines()
@@ -126,3 +132,35 @@ def test_every_run_keeps_the_exit_code_contract(p):
             assert lines[0].startswith(("error: ", "parse error: ")), (argv, err)
         codes.add(code)
     assert {0, 2} <= codes  # the fuzz reaches both valid and refused inputs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_exact_rn_never_exits_1(p):
+    rng = random.Random(f"rn-judge:{p}")
+    codes = set()
+    for _ in range(RN_RUNS):
+        argv = ["--p", str(p), "rn", "--g", element(rng, p), "--f", function_literal(rng, p)]
+        code, _, _ = run(argv)
+        assert code != 1, argv
+        codes.add(code)
+    assert codes == {0, 2}
+
+
+@pytest.mark.parametrize("argv", [
+    # f = 0, so both sides are E[R] = 1; the cells' masses are of size 3^20
+    pytest.param(
+        ["--p", "3", "rn", "--g", "aff(a = {B(1;-1): 3486784401 | tail 1}, b = { | tail 0})",
+         "--f", "{ | tail 0}"],
+        id="large-cells",
+    ),
+    # the identity element and an f of 10^-8, where e^f - 1 cancels in floats
+    pytest.param(
+        ["--p", "5", "rn", "--g", "aff(a = { | tail 1}, b = { | tail 0})",
+         "--f", "{B(0;32): 1/100000000 | tail 0}"],
+        id="small-f",
+    ),
+])
+def test_exact_rn_passes_where_the_identity_holds(argv):
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("pass  rn-identity: defect=0 ")

@@ -121,9 +121,9 @@ DIGESTS = {
     (5, "text", "laplace --mc"):
         "1336b7956cb0350c619bd25e8324337a2e18d4f62296b672a8817cb3ffdc1c51",
     (5, "text", "rn"):
-        "d582045efe7ed79ba56dfaaf3b5c8f088c44c26a61e0da8f8822d6202720d82d",
+        "05d159c877ef2e6d28c22de7ec2660b6fac7ba000c830a60b69bd1124046f0b6",
     (5, "text", "rn --mc"):
-        "02c36c8af6c35426b0c88c178e8f10a0379abb7201a9d8b394a996bcce7e5d9b",
+        "00a96c18e7124437c9556f856385ec53cefd874c782ebff8e4b542a349ff1ded",
     (5, "text", "unitarity"):
         "d531d27dca736f82939841144d02f22f72874d757957bd264c5919ad315d3c8a",
     (5, "text", "unitarity --mc"):
@@ -137,9 +137,9 @@ DIGESTS = {
     (5, "json", "laplace --mc"):
         "3e6dbc20b13b987d46b2283ff0023bbb3898e8db663d9a0d39370d8f1432005d",
     (5, "json", "rn"):
-        "ef32ac18dc31c45f4c2370de59d2fc2589ef696450b4507c40efabd858a00dea",
+        "5a51c250deda10a6bf76a3a99a28371bb2ab7706b6b1b11e9c8813e8d57e220a",
     (5, "json", "rn --mc"):
-        "a49fdc51e42d3b99904d49cbe3e247be4850beba78303ff4dbb2d593506d2e00",
+        "03e5f01bda54e8085f8736bc65844f938b8ae3c0b171d5e5e6ce68e515afdfc5",
     (5, "json", "unitarity"):
         "42f3cac00e3255003779cfcf047b29aedf6a8ef0f78c4d05cc82680693a13dfd",
     (5, "json", "unitarity --mc"):

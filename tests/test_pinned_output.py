@@ -48,15 +48,15 @@ def test_verify_all_json_digest(capsys):
     _, digest = stdout_digest(
         capsys, "--json", "verify-all", "--p", "3", "--seed", "0"
     )
-    assert digest == "c3d9171f710a352e24b2daff796e667d1c4a66e32496d3a6b50308a1ffb21a1f"
+    assert digest == "f698eb6b60937a3eae484125752bd0ef7cec915da558e5a55fe3e72a515ec6c5"
 
 
 VERIFY_ALL_DIGESTS = {
-    (2, 0): "08ab7610d9ffa3bdc7e4fe44274aa0dc5fe03743afe6fb464aa92382fadf5157",
-    (2, 42): "436c4c9c8bdc9818e89d70318edf5b6bc170260c4eb97113b431f0b24086ec39",
-    (3, 42): "4ac5ec26c717d14949c0448ea29580a4f686fe0a854fa43e8f51147a8263450c",
-    (5, 0): "ec004a240771a315d1209470df64b8e01ca70d8a729f63672a37a2d799958a87",
-    (5, 42): "2283471cda062ec20ae3fad5b9e2f99a348134048239d5d808a5957e48b46d7d",
+    (2, 0): "eb473ecd894438cd38bea8bc8d3fbfe433ba3bc18411059a3dc26e14d11eab57",
+    (2, 42): "b820d5a43dc9cf338acb53e4b4ac5ed4a87b879df44c9b043a08d7e0b3162311",
+    (3, 42): "e544b64d8c005048a88f228e81a8ef4a052ea032cb61b541016550f442bf4643",
+    (5, 0): "01026ed050e7391a852fa0e482cf6d169736a883136338cc4fa9dd974ce77423",
+    (5, 42): "b138c57df45fc4caf48258d87f771385663a07b118258fcc2a7f4bfdf5320edd",
 }
 
 

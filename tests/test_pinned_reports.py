@@ -22,7 +22,7 @@ def stdout_digest(capsys, *argv):
 def test_verify_all_text_digest(capsys):
     code, digest = stdout_digest(capsys, "--p", "2", "--seed", "42", "verify-all")
     assert code == 0
-    assert digest == "77658dcd41210b1671ec0723e6fb79799a473961cd0f9199f0fa0a75c11d1ba9"
+    assert digest == "e5cc212d5c8280cd830af7d526bbfc2a7141675d8c33a5cd8024d972a9eeef52"
 
 
 def test_audit_json_digest(capsys):

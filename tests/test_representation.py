@@ -35,10 +35,11 @@ from padic_affine import (
     rn_density,
     rn_factors,
 )
+from padic_affine import representation
 from padic_affine.errors import (
     ContractViolation, PadicAffineError, UnboundedIntegral, WindowMismatch
 )
-from padic_affine.measure import IntensityMeasure
+from padic_affine.measure import IntensityMeasure, pushforward
 from padic_affine.poisson import MIN_SAMPLES, laplace_exponent, mc_run
 from padic_affine.randgen import (
     random_clopen,
@@ -117,6 +118,35 @@ class TestRadonNikodym:
         f = random_test_function(self.ctx, rng)
         r = check_rn_identity_mc(g, f, 20000, 5)
         assert r.passed, r.defect
+
+
+class TestMassTermMutant:
+    """A pushforward whose density's last part is scaled by 1 + 10^-12
+    breaks mass conservation by a term far below the exponents' float
+    resolution; the exact check sees it through the mass term."""
+
+    @staticmethod
+    def scaled_pushforward(mu, g):
+        rho = pushforward(mu, g).density
+        if not rho.parts:
+            return IntensityMeasure(rho)
+        *head, (ball, v) = rho.parts
+        last = (ball, v * (1 + Fraction(1, 10**12)))
+        return IntensityMeasure(StepFunction.make(rho.ctx, REAL, [*head, last], 1))
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_scaled_last_part_fails(self, p, monkeypatch):
+        ctx = PadicContext(p)
+        rng = random.Random(f"rn-mutant:{p}")
+        pairs = [
+            (random_element(ctx, rng), random_test_function(ctx, rng))
+            for _ in range(50)
+        ]
+        assert all(check_rn_identity(g, f).passed for g, f in pairs)
+        monkeypatch.setattr(representation, "pushforward", self.scaled_pushforward)
+        failed = [r for r in (check_rn_identity(g, f) for g, f in pairs) if not r.passed]
+        assert failed
+        assert all(r.note.startswith("mass term ") and r.fixed_verdict for r in failed)
 
 
 class TestLaplace:
@@ -348,19 +378,29 @@ class TestInfiniteExponent:
 
 class TestDensityPastFloatRange:
     """a = 2^-1100 on Z_2: g*m is 2^1100 on B(0;-1100), past a float's range,
-    while f = 1 on Z_2 keeps the Laplace exponent finite. Both Radon-Nikodym
-    checks refuse the density with the typed error, not an OverflowError."""
+    while f = 1 on Z_2 keeps the Laplace exponent finite. The exact check
+    reads the density only through the cell mass rho·m = 1 and the exact
+    mass term, so it passes; the Monte Carlo replica needs the density as a
+    float importance weight and refuses it with the typed error, not an
+    OverflowError."""
+
+    @staticmethod
+    def steep_pair():
+        ctx = PadicContext(2)
+        g = AffineElement.from_parts(ctx, [(Ball(ctx, 0, ()), Fraction(1, 2**1100))], [])
+        return g, StepFunction.make(ctx, REAL, [(Ball(ctx, 0, ()), 1)], 0)
+
+    def test_exact_check_passes_with_defect_0(self):
+        report = check_rn_identity(*self.steep_pair())
+        assert report.passed and report.defect == 0.0
+        assert report.lhs == report.rhs == math.exp(math.expm1(1))
 
     @pytest.mark.parametrize("check", [
-        pytest.param(check_rn_identity, id="exact"),
         pytest.param(functools.partial(check_rn_identity_mc, samples=1000, seed=0), id="mc"),
     ])
     def test_refused_with_the_typed_error(self, check):
-        ctx = PadicContext(2)
-        g = AffineElement.from_parts(ctx, [(Ball(ctx, 0, ()), Fraction(1, 2**1100))], [])
-        f = StepFunction.make(ctx, REAL, [(Ball(ctx, 0, ()), 1)], 0)
         with pytest.raises(PadicAffineError, match="overflows a float"):
-            check(g, f)
+            check(*self.steep_pair())
 
 
 class TestTailMustVanish:
