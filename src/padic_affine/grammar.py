@@ -193,12 +193,13 @@ class Parser:
         self._expect("{")
         balls = () if self.tokens[self.pos] == "}" else self._list(self.ball, ",")
         self._expect("}")
-        # ClopenSet.of accepts nested balls; a literal may not hold any
+        # a literal may not hold nested balls; disjoint ones need only the
+        # sibling merge
         clash = first_overlap(balls)
         if clash is not None:
             i, j = (balls[k] for k in clash)
             raise self._error(f"balls {i} and {j} overlap")
-        return ClopenSet.of(self.ctx, balls)
+        return ClopenSet.of_cells(self.ctx, [(b, None) for b in balls])
 
     def step(self, kind: str = REAL) -> StepFunction:
         start = self.pos
@@ -293,21 +294,18 @@ class Parser:
         raise self._error(f"cannot parse a value starting at {tok!r}")
 
     def _opens_step(self) -> bool:
-        """Whether the '{' at the cursor opens a step function: '|' or a
-        first ball followed by ':' comes next. Anything else is read as a
-        clopen set, whose reader fails on a bad first ball as step's would."""
-        start = self.pos
-        self.pos += 1
+        """Whether the '{' at the cursor opens a step function, read ahead
+        without parsing: '|' comes next, or a first 'B' whose first ')'
+        after it is followed by ':'. A well-formed first ball ends at that
+        ')'; on any other first ball both readers raise the same error."""
+        t, i = self.tokens, self.pos + 1
+        if t[i] != "B":
+            return t[i] == "|"
         try:
-            tok = self.tokens[self.pos]
-            if tok != "B":  # decided without a ParseError, so no offset lookup
-                return tok == "|"
-            self.ball()
-            return self.tokens[self.pos] == ":"
-        except ParseError:
+            close = t.index(")", i)
+        except ValueError:  # no ')' follows: no first ball can end
             return False
-        finally:
-            self.pos = start
+        return t[close + 1] == ":"
 
 
 # -- entry points -----------------------------------------------------------

@@ -11,6 +11,7 @@ exact density rho_g of g* m.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .affine import AffineElement
@@ -62,17 +63,19 @@ class IntensityMeasure:
 
     def l1_deviation(self) -> Fraction:
         """Exact integral of |rho - 1| dm; finite for every step density."""
-        support = self.density.deviation_support()
-        return self.density.integrate_transform(support, "abs_dev")
+        return self._deviation(abs)
 
     def excess_mass(self) -> Fraction:
-        """Exact integral of (rho - 1) dm, 0 for every pushforward of Haar.
-        rho is 1 off the density's parts; a part B(c; k) -> v adds
-        (v - 1)·p^k, its mass read from the radius."""
+        """Exact integral of (rho - 1) dm, 0 for every pushforward of Haar."""
+        return self._deviation(operator.pos)
+
+    def _deviation(self, t) -> Fraction:
+        """Exact integral of t(rho - 1) dm: rho is 1 off the density's
+        parts, and a part B(c; k) -> n/d adds t(n - d)/d · p^k."""
         p, total = self.ctx.p, Fraction(0)
         for b, v in self.density.parts:
             n, d, k = v.numerator, v.denominator, b.radius_exp
-            total += Fraction((n - d) * p ** max(k, 0), d * p ** max(-k, 0))
+            total += Fraction(t(n - d) * p ** max(k, 0), d * p ** max(-k, 0))
         return total
 
 

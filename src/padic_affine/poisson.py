@@ -71,12 +71,11 @@ class CylinderFunction:
         raise NotImplementedError
 
     def window(self) -> ClopenSet:
-        """The union of the supports of fns()."""
-        out = None
-        for fn in self.fns():
-            s = fn.deviation_support() if isinstance(fn, StepFunction) else fn
-            out = s if out is None else out.union(s)
-        return out
+        """The union of the supports of fns(): one ClopenSet.of over the
+        balls of their parts, a clopen set's parts its own balls."""
+        fns = self.fns()
+        balls = [b for fn in fns for b, _ in read_parts(fn)[0]]
+        return ClopenSet.of(fns[0].ctx, balls)
 
     def evaluate(self, gamma: Configuration) -> float:
         """psi of the exact pairings: float(pair_sum) for a step function,
@@ -493,7 +492,7 @@ def exp_checked(x: float) -> float:
         raise PadicAffineError(f"e^{x:.6g} overflows a float") from exc
 
 
-def _float_checked(x: Fraction, what: str) -> float:
+def float_checked(x: Fraction, what: str) -> float:
     """float(x), or a PadicAffineError when x is past a float's range."""
     try:
         return float(x)
@@ -514,9 +513,9 @@ def expect_exact(f: CylinderFunction, mu: IntensityMeasure) -> float:
         cells = [(vs, rv * c.measure) for c, (*vs, rv) in window_cells(mu, gs)]
         m = [sum((vs[j] * w for vs, w in cells), Fraction(0)) for j in range(len(gs))]
         if len(gs) == 1:
-            return _float_checked(m[0], "the mean")
+            return float_checked(m[0], "the mean")
         cross = sum((vs[0] * vs[1] * w for vs, w in cells), Fraction(0))
-        return _float_checked(cross + m[0] * m[1], "the second moment")
+        return float_checked(cross + m[0] * m[1], "the second moment")
     if isinstance(f, CountEvent):
         if not f.sets_disjoint():
             raise UnsupportedShape(
@@ -524,7 +523,7 @@ def expect_exact(f: CylinderFunction, mu: IntensityMeasure) -> float:
             )
         out = 1.0
         for s, op, k in f.conditions:
-            lam = _float_checked(mu.mass(s), "the mass of a count set")
+            lam = float_checked(mu.mass(s), "the mass of a count set")
             out *= _predicate_prob(op, k, lam)
         return out
     raise UnsupportedShape(f"no closed form for {type(f).__name__}")
@@ -731,9 +730,26 @@ def product_evaluator(mu: IntensityMeasure, fs: list):
     return atoms, product
 
 
+def require_samples(name: str, n: int) -> None:
+    """The one sample floor: fewer than MIN_SAMPLES is a PadicAffineError."""
+    if n < MIN_SAMPLES:
+        raise PadicAffineError(f"{name} needs at least {MIN_SAMPLES} samples, got {n}")
+
+
+def mc_checked(name: str, n: int, run):
+    """The one Monte Carlo front end: the sample floor for n draws, then
+    run(), which builds the evaluator and calls mc_run; a value past a
+    float's range there (an OverflowError) is refused as a PadicAffineError."""
+    require_samples(name, n)
+    try:
+        return run()
+    except OverflowError:
+        raise PadicAffineError(f"{name}: a sampled value overflows a float") from None
+
+
 def expect_mc(f: CylinderFunction, mu: IntensityMeasure, n: int, seed: int):
     """Monte Carlo mean and standard error over n independent configurations
     on an auto-derived window; deterministic for a fixed seed."""
-    if n < MIN_SAMPLES:
-        raise PadicAffineError(f"Monte Carlo runs need n >= {MIN_SAMPLES}")
-    return mc_run(*product_evaluator(mu, [f]), n, seed)
+    return mc_checked(
+        "expect_mc", n, lambda: mc_run(*product_evaluator(mu, [f]), n, seed)
+    )

@@ -56,7 +56,7 @@ def random_disjoint_balls(
 
 def random_clopen(ctx: PadicContext, rng: random.Random) -> ClopenSet:
     balls = random_disjoint_balls(ctx, rng, rng.randint(1, 3))
-    return ClopenSet.of(ctx, balls)
+    return ClopenSet.of_cells(ctx, [(b, None) for b in balls])
 
 
 def random_test_function(

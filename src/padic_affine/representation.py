@@ -20,18 +20,20 @@ from .errors import (
 from .measure import IntensityMeasure, pushforward
 from .padic import Ball, ClopenSet
 from .poisson import (
-    MIN_SAMPLES,
     Configuration,
     CountEvent,
     CylinderFunction,
     Exponential,
     exp_checked,
+    expect_exact,
+    float_checked,
     laplace_exponent,
     mc_atoms,
+    mc_checked,
     mc_run,
     product_evaluator,
+    require_samples,
 )
-from .poisson import expect_exact as poisson_expect_exact
 from .stepfn import StepFunction
 
 EXACT_TOL = 1e-9
@@ -122,13 +124,8 @@ def _importance_evaluator(mu: IntensityMeasure, fns: list, scale: float):
     f != 0: any other atom multiplies by 1.0**c and adds scale·c·0.0 (see
     mc_run)."""
     atoms = mc_atoms(mu, fns)
-    try:
-        rho_vals = [float(vals[0]) for _, _, vals in atoms]
-        f_vals = [float(vals[1]) for _, _, vals in atoms]
-    except OverflowError:
-        raise PadicAffineError(
-            "the importance weight overflows a float: a density or f value is too large"
-        ) from None
+    rho_vals = [float(vals[0]) for _, _, vals in atoms]
+    f_vals = [float(vals[1]) for _, _, vals in atoms]
 
     def ev(pairs):
         w = 1.0
@@ -162,16 +159,8 @@ def count_report(name, failures, trials, audit=False, note=None) -> CheckReport:
     )
 
 
-def _require_samples(name, samples) -> None:
-    """The one sample floor: fewer than MIN_SAMPLES is a PadicAffineError."""
-    if samples < MIN_SAMPLES:
-        raise PadicAffineError(
-            f"{name} needs at least {MIN_SAMPLES} samples, got {samples}"
-        )
-
-
 def mc_report(name, mean, se, target, seed, samples, audit=False):
-    _require_samples(name, samples)
+    require_samples(name, samples)
     if se == 0.0:
         z = 0.0 if mean == target else float("inf")
     else:
@@ -193,16 +182,9 @@ def mc_report(name, mean, se, target, seed, samples, audit=False):
 def _replica(name, target, sampler, samples, seed, audit=False) -> CheckReport:
     """A Monte Carlo replica of an identity against its target, which the
     caller computes first so that a target past a float's range is refused
-    before anything is sampled. Then the sample floor, then sampler(), which
-    gives (atoms, evaluator), then mc_run and mc_report. A draw whose value
-    is past a float's range, where a float power or exponential in the
-    evaluator raises OverflowError, is refused as a PadicAffineError."""
-    _require_samples(name, samples)
-    atoms, ev = sampler()
-    try:
-        mean, se = mc_run(atoms, ev, samples, seed)
-    except OverflowError:
-        raise PadicAffineError(f"{name}: a sampled value overflows a float") from None
+    before anything is sampled; then mc_checked over sampler(), which gives
+    (atoms, evaluator), and mc_run, and mc_report."""
+    mean, se = mc_checked(name, samples, lambda: mc_run(*sampler(), samples, seed))
     return mc_report(name, mean, se, target, seed, samples, audit)
 
 
@@ -226,7 +208,7 @@ def rn_factors(g: AffineElement, gamma: Configuration):
 def rn_density(g: AffineElement, gamma: Configuration) -> float:
     """R(g, gamma) = prod_x rho_g(x) · exp(int (1 - rho_g) dm); 0 is legal."""
     product, exponent = rn_factors(g, gamma)
-    return float(product) * math.exp(float(exponent))
+    return float_checked(product, "the density product") * math.exp(float(exponent))
 
 
 def check_rn_identity(g: AffineElement, f: StepFunction) -> CheckReport:
@@ -388,7 +370,7 @@ def check_factorization(
         return _exp_report("factorization", lhs, rhs)
     if samples is None:
         raise UnsupportedShape("non-exponential pairs need a sample budget")
-    target = poisson_expect_exact(f1, haar) * poisson_expect_exact(f2, haar)
+    target = expect_exact(f1, haar) * expect_exact(f2, haar)
     return _replica(
         "factorization-mc", target, lambda: product_evaluator(haar, [f1, moved]),
         samples, seed,
@@ -407,8 +389,8 @@ def check_invariance(f: CylinderFunction, g: AffineElement) -> CheckReport:
     window = f.window()
     haar = IntensityMeasure.haar(g.ctx)
     moved = f.transform(g)
-    lhs = poisson_expect_exact(moved, haar)
-    rhs = poisson_expect_exact(f, haar)
+    lhs = expect_exact(moved, haar)
+    rhs = expect_exact(f, haar)
     repaired = (
         window.subtract(bset).is_empty
         and window.translate(-h).subtract(bset).is_empty
@@ -437,9 +419,9 @@ def check_ergodic_inequality(a1: CountEvent, a2: CountEvent) -> CheckReport:
     g = find_decoupler(a1.window(), a2.window())
     haar = IntensityMeasure.haar(g.ctx)
     moved = a2.transform(g)
-    target = poisson_expect_exact(a1, haar) * poisson_expect_exact(a2, haar)
+    target = expect_exact(a1, haar) * expect_exact(a2, haar)
     combined = CountEvent(a1.conditions + moved.conditions)
-    lhs = poisson_expect_exact(combined, haar)
+    lhs = expect_exact(combined, haar)
     report = _exact_report("ergodic-inequality", lhs, target)
     if lhs < 0.5 * target - EXACT_TOL:
         report.passed = False

@@ -187,16 +187,14 @@ class StepFunction:
         return sum((v * cell.measure for cell, (v,) in cells), Fraction(0))
 
     def integrate_transform(self, s: ClopenSet, transform: str):
-        """Exact integral of t(F) over S for a named transform t: abs_dev
-        (v -> |v-1|) or one_minus (v -> 1-v)."""
+        """Exact integral of t(F) over S for a named transform t: one_minus
+        (v -> 1-v)."""
         if self.kind != REAL:
             raise KindMismatch("integrate requires a real-valued function")
-        pieces = [(v, cell.measure) for cell, (v,) in refine_window(s, [self])]
-        if transform == "abs_dev":
-            return sum((abs(v - 1) * m for v, m in pieces), Fraction(0))
-        if transform == "one_minus":
-            return sum(((1 - v) * m for v, m in pieces), Fraction(0))
-        raise ValueError(f"unknown transform {transform!r}")
+        if transform != "one_minus":
+            raise ValueError(f"unknown transform {transform!r}")
+        cells = refine_window(s, [self])
+        return sum(((1 - v) * cell.measure for cell, (v,) in cells), Fraction(0))
 
 
 def refine_window(window: ClopenSet, fns: list) -> list:

@@ -112,14 +112,13 @@ def _worked_pair(ctx) -> tuple:
 
 def worked_density_report(ctx) -> CheckReport:
     """The contracting worked element has the exact three-level density."""
-    z = Ball(ctx, 0, ())
     g0, _ = _worked_pair(ctx)
     rho = pushforward(IntensityMeasure.haar(ctx), g0).density
-    shell = ClopenSet.of(ctx, [Ball(ctx, 1, ())]).subtract(ClopenSet.of(ctx, [z]))
+    shell = Ball(ctx, 1, ()).children()[1:]  # B(0;1) minus Z_p
     p = ctx.p
     ok = (
         rho.evaluate(ctx.zero()) == Fraction(1, p)
-        and all(rho.evaluate(b.center) == 1 + Fraction(1, p) for b in shell.balls)
+        and all(rho.evaluate(b.center) == 1 + Fraction(1, p) for b in shell)
         and rho.tail == 1
     )
     return count_report("worked-density", 0 if ok else 1, 1)

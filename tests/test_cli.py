@@ -125,7 +125,7 @@ class TestToleranceScope:
         event = CountEvent(((ClopenSet.of(ctx, [Ball(ctx, 0, ())]), ">=", 1),))
         # a joint probability below half the product of the marginals
         monkeypatch.setattr(
-            representation, "poisson_expect_exact",
+            representation, "expect_exact",
             lambda f, mu: 0.3 if len(f.conditions) > 1 else 0.9,
         )
         report = representation.check_ergodic_inequality(event, event)

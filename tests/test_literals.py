@@ -589,6 +589,7 @@ HAND_WRITTEN = [
     "B(0;0)\r\n\r\n ?", "{B(0;0): é | tail 0}", "aff(\n\n", "\n\n  αβ",
     "{B(0;0): 1 | tail 0}\n}", "B(٣;0)", "{B(0;0):\t1/2\n| tail\r\n0}",
     "{B(" + "1" * 5000 + ";0): 1 | tail 0}", "{B(0;0): " + "7" * 5000 + " | tail 0}",
+    "{B(1;2, B(0;0): 1 | tail 0}", "{B(1;2 : 1 | tail 0}", "{B(0;0 B(1;0)): 1 | tail 0}",
 ]
 
 

@@ -20,11 +20,12 @@ from padic_affine import (
 )
 from padic_affine.padic import fraction_valuation
 from padic_affine.randgen import (
+    random_disjoint_balls,
     random_element,
     random_measure_preserving,
     random_test_function,
 )
-from padic_affine.stepfn import REAL, union_cells
+from padic_affine.stepfn import REAL, refine_window, union_cells
 
 PRIMES = [2, 3, 5]
 
@@ -143,6 +144,38 @@ class TestConservation:
         assert maps_pieces_onto_themselves(g)
         mu = pushforward(haar(ctx), g)
         assert mu.l1_deviation() == 0
+
+
+class TestDeviationsFromParts:
+    """l1_deviation and excess_mass, read off the density's parts, equal the
+    sums of t(v)·m over the refine_window cells of its deviation support,
+    with t(v) = |v - 1| and v - 1: on pushforwards of Haar, on their
+    round trips through g^{-1} then g, and on densities drawn directly,
+    whose excess mass is not 0."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_parts_sum_matches_refined_cells(self, p):
+        ctx = PadicContext(p)
+        rng = random.Random(p)
+        zero_parts = moved = 0
+        for _ in range(100):
+            g = random_element(ctx, rng)
+            balls = random_disjoint_balls(ctx, rng, rng.randint(1, 3))
+            drawn = [(b, Fraction(rng.randint(0, 4), rng.randint(1, 3))) for b in balls]
+            for mu in (
+                pushforward(haar(ctx), g),
+                pushforward(pushforward(haar(ctx), g.inverse()), g),
+                IntensityMeasure(StepFunction.make(ctx, REAL, drawn, 1)),
+            ):
+                rho = mu.density
+                cells = refine_window(rho.deviation_support(), [rho])
+                l1 = sum((abs(v - 1) * c.measure for c, (v,) in cells), Fraction(0))
+                excess = sum(((v - 1) * c.measure for c, (v,) in cells), Fraction(0))
+                assert mu.l1_deviation() == l1
+                assert mu.excess_mass() == excess
+                zero_parts += any(v == 0 for _, v in rho.parts)
+                moved += excess != 0
+        assert zero_parts and moved
 
 
 class TestFixedPieces:

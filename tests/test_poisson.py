@@ -369,6 +369,15 @@ class TestMonteCarlo:
         with pytest.raises(Exception):
             expect_mc(f, self.haar, 10, 3)
 
+    @pytest.mark.parametrize("shape", ["poly", "exp"])
+    def test_value_past_float_range_is_typed(self, shape):
+        """f = 10^400 on Z_3 does not fit a float: building the count
+        evaluator is refused with the typed error, not an OverflowError."""
+        f = indicator_step(self.ctx, self.z, 10**400)
+        F = Polynomial(((f, 1),)) if shape == "poly" else Exponential(f)
+        with pytest.raises(PadicAffineError, match="overflows a float"):
+            expect_mc(F, self.haar, 1000, 0)
+
 
 class TestPointCap:
     """MAX_POINTS bounds the exact expected point count of a draw: a total

@@ -119,6 +119,17 @@ class TestRadonNikodym:
         r = check_rn_identity_mc(g, f, 20000, 5)
         assert r.passed, r.defect
 
+    def test_density_product_past_float_range_is_typed(self):
+        """a = 3^-400 on Z_3 makes rho_g 3^400 on B(0;-400); three points
+        there give a product of 3^1200, refused with the typed error."""
+        g = AffineElement.from_parts(
+            self.ctx, [(Ball(self.ctx, 0, ()), Fraction(1, 3**400))], []
+        )
+        points = tuple(self.ctx.rational(c * 3**401) for c in range(3))
+        gamma = Configuration(points, ClopenSet.of(self.ctx, [Ball(self.ctx, 0, ())]))
+        with pytest.raises(PadicAffineError, match="overflows a float"):
+            rn_density(g, gamma)
+
 
 class TestMassTermMutant:
     """A pushforward whose density's last part is scaled by 1 + 10^-12

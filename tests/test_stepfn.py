@@ -158,12 +158,6 @@ class TestIntegration:
                     brute += math.expm1(f(leaf.center)) * float(leaf.measure)
             assert got == pytest.approx(brute, rel=1e-12, abs=1e-12)
 
-    def test_abs_dev_exact(self):
-        z = self.z()
-        f = StepFunction.make(self.ctx, REAL, [(z, Fraction(1, 3))], 1)
-        region = ClopenSet.of(self.ctx, [self.z(1)])
-        assert f.integrate_transform(region, "abs_dev") == Fraction(2, 3)
-
 
 class TestEnclosingExponents:
     def setup_method(self):
